@@ -19,6 +19,7 @@ GpuScheduler::GpuScheduler(sim::Simulation& sim, Gid gid,
                            Config config)
     : sim_(sim), gid_(gid), policy_(std::move(policy)), config_(config) {
   assert(policy_ != nullptr);
+  ticking_ = policy_->needs_periodic_evaluation();
 }
 
 GpuScheduler::GpuScheduler(sim::Simulation& sim, Gid gid,
@@ -59,6 +60,7 @@ void GpuScheduler::ack(int signal_id) {
     trace_->log("gpusched/" + std::to_string(gid_), "rm.ack",
                 "signal=" + std::to_string(signal_id));
   }
+  probe_backlogs();
   run_dispatcher();  // let the new thread take effect immediately
   // The admit decision is the thread's first wake: gates are born open, so
   // run_dispatcher above records no transition when the policy keeps the
@@ -126,6 +128,7 @@ FeedbackRecord GpuScheduler::unregister_app(int signal_id) {
                           {"tenant_attained_s", fmt}});
   }
   if (feedback_sink_) feedback_sink_(rec);
+  probe_backlogs();
   run_dispatcher();
   return rec;
 }
@@ -183,27 +186,28 @@ void GpuScheduler::set_phase(int signal_id, policies::Phase phase) {
   it->second.phase = phase;
 }
 
+void GpuScheduler::fill_row(int id, const RcbEntry& e,
+                            policies::RcbSnapshot& s) const {
+  s.key = static_cast<std::uint64_t>(id);
+  s.tenant = e.init.tenant;
+  s.tenant_weight = e.init.tenant_weight;
+  s.total_service = total_service(e);
+  s.epoch_service = e.epoch_service;
+  s.cgs = e.cgs;
+  s.entitled = e.entitled;
+  s.phase = e.phase;
+  const auto ts = tenant_service_.find(e.init.tenant);
+  s.tenant_attained = ts != tenant_service_.end() ? ts->second : 0;
+}
+
 std::vector<policies::RcbSnapshot> GpuScheduler::snapshot() const {
   ANALYSIS_READ(&rcb_, rcb_name(gid_));
   std::vector<policies::RcbSnapshot> out;
   out.reserve(rcb_.size());
   for (const auto& [id, e] : rcb_) {
     if (!e.acked) continue;
-    policies::RcbSnapshot s;
-    s.key = static_cast<std::uint64_t>(id);
-    s.tenant = e.init.tenant;
-    s.tenant_weight = e.init.tenant_weight;
-    s.total_service = total_service(e);
-    s.epoch_service = e.epoch_service;
-    s.cgs = e.cgs;
-    s.entitled = e.entitled;
-    s.phase = e.phase;
-    s.backlogged = e.init.backlog_probe ? e.init.backlog_probe() > 0 : true;
-    if (auto ts = tenant_service_.find(e.init.tenant);
-        ts != tenant_service_.end()) {
-      s.tenant_attained = ts->second;
-    }
-    out.push_back(std::move(s));
+    fill_row(id, e, out.emplace_back());
+    out.back().backlogged = probe_backlog(e);
   }
   return out;
 }
@@ -214,7 +218,7 @@ sim::SimTime GpuScheduler::service_attained(int signal_id) const {
 }
 
 void GpuScheduler::arm_epoch() {
-  if (epoch_armed_) return;
+  if (!ticking_ || epoch_armed_) return;
   epoch_armed_ = true;
   sim_.schedule(config_.epoch, [this] { epoch_tick(); });
 }
@@ -227,7 +231,8 @@ void GpuScheduler::epoch_tick() {
 
   // Dispatcher bookkeeping: per-epoch service (GSn), decayed CGS, and
   // entitlement accrual for TFS (backlogged threads share the epoch by
-  // tenant weight — work conservation).
+  // tenant weight — work conservation). The backlog probed here also feeds
+  // this epoch's snapshot.
   double backlogged_weight = 0.0;
   for (auto& [id, e] : rcb_) {
     const sim::SimTime total = total_service(e);
@@ -235,15 +240,12 @@ void GpuScheduler::epoch_tick() {
     e.service_at_last_epoch = total;
     e.cgs = config_.las_k * static_cast<double>(e.epoch_service) +
             (1.0 - config_.las_k) * e.cgs;
-    const bool backlogged =
-        e.init.backlog_probe ? e.init.backlog_probe() > 0 : true;
-    if (backlogged) backlogged_weight += e.init.tenant_weight;
+    e.backlogged = probe_backlog(e);
+    if (e.backlogged) backlogged_weight += e.init.tenant_weight;
   }
   if (backlogged_weight > 0) {
     for (auto& [id, e] : rcb_) {
-      const bool backlogged =
-          e.init.backlog_probe ? e.init.backlog_probe() > 0 : true;
-      if (!backlogged) continue;
+      if (!e.backlogged) continue;
       e.entitled += static_cast<sim::SimTime>(
           static_cast<double>(config_.epoch) * e.init.tenant_weight /
           backlogged_weight);
@@ -254,14 +256,31 @@ void GpuScheduler::epoch_tick() {
   arm_epoch();
 }
 
+void GpuScheduler::probe_backlogs() {
+  for (auto& [id, e] : rcb_) e.backlogged = probe_backlog(e);
+}
+
 void GpuScheduler::run_dispatcher() {
-  const auto snaps = snapshot();
-  const auto awake = policy_->pick_awake(snaps, sim_.now());
+  ANALYSIS_READ(&rcb_, rcb_name(gid_));
+  std::size_t n = 0;
+  for (const auto& [id, e] : rcb_) {
+    if (!e.acked) continue;
+    if (n == snaps_.size()) snaps_.emplace_back();
+    fill_row(id, e, snaps_[n]);
+    snaps_[n++].backlogged = e.backlogged;
+  }
+  snaps_.resize(n);
+
+  // The RCB iterates in key order, so one merge walk over the sorted
+  // decision marks each awake entry.
+  auto awake = policy_->pick_awake(snaps_, sim_.now());
+  std::sort(awake.begin(), awake.end());
+  auto next = awake.begin();
   for (auto& [id, e] : rcb_) {
+    const auto key = static_cast<std::uint64_t>(id);
+    while (next != awake.end() && *next < key) ++next;
     if (e.init.gate == nullptr || !e.acked) continue;
-    const bool keep_awake =
-        std::find(awake.begin(), awake.end(), static_cast<std::uint64_t>(id)) !=
-        awake.end();
+    const bool keep_awake = next != awake.end() && *next == key;
     if (e.init.gate->awake() != keep_awake) {
       if (keep_awake) {
         ++wakes_;

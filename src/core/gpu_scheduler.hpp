@@ -4,9 +4,14 @@
 //   Request Manager (RM)  — registers backend threads via the three-way
 //     handshake (register -> signal id -> ack) and maintains the Request
 //     Control Block (RCB).
-//   Dispatcher             — every scheduling epoch, runs the configured
-//     device policy (TFS / LAS / PS / AllAwake) over RCB snapshots and
-//     toggles each backend thread's WakeGate (the RT-signal analog).
+//   Dispatcher             — runs the configured device policy (TFS / LAS /
+//     PS / MQFQ / AllAwake) over RCB snapshots and toggles each backend
+//     thread's WakeGate (the RT-signal analog). It evaluates when a thread
+//     is admitted (ack) or leaves (unregister), and every scheduling epoch
+//     only if the policy's decision can change in between
+//     (DeviceSchedPolicy::needs_periodic_evaluation): TFS/LAS/PS/MQFQ keep
+//     the epoch timer for their eq. 1 GSn/CGS, entitlement and attained-
+//     service accounting; AllAwake arms none.
 //   Request Monitor (RMO)  — accumulates per-application GPU time, transfer
 //     time, bytes accessed, and phase from device op completions.
 //   Feedback Engine (FE)   — on unregister (cudaThreadExit), summarizes the
@@ -75,6 +80,7 @@ class GpuScheduler {
     std::uint64_t stream_id = 0;
     WakeGate* gate = nullptr;
     /// Returns the thread's queued + in-flight request count (backlog).
+    /// Called once per entry per dispatcher evaluation.
     std::function<int()> backlog_probe;
   };
 
@@ -116,6 +122,7 @@ class GpuScheduler {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   // ---- introspection ----
+  /// A fresh view of the acked entries (probes every backlog).
   std::vector<policies::RcbSnapshot> snapshot() const;
   sim::SimTime service_attained(int signal_id) const;
   /// Cumulative GPU service per tenant across all (including exited) apps —
@@ -125,6 +132,7 @@ class GpuScheduler {
     return tenant_service_;
   }
   int registered_count() const { return static_cast<int>(rcb_.size()); }
+  /// Epoch evaluations actually run (always 0 for a non-ticking policy).
   std::int64_t epochs_run() const { return epochs_; }
   /// Dispatcher gate transitions since construction (sleep->awake and back).
   std::int64_t dispatcher_wakes() const { return wakes_; }
@@ -148,20 +156,36 @@ class GpuScheduler {
     sim::SimTime epoch_service = 0;
     double cgs = 0.0;
     sim::SimTime entitled = 0;
+    // The backlog probe's answer for the current evaluation.
+    bool backlogged = false;
   };
 
   sim::SimTime total_service(const RcbEntry& e) const {
     return e.gpu_time + e.transfer_time;
   }
+  static bool probe_backlog(const RcbEntry& e) {
+    return e.init.backlog_probe ? e.init.backlog_probe() > 0 : true;
+  }
+  /// Writes entry `id`'s view into `s`; `backlogged` is left to the caller.
+  void fill_row(int id, const RcbEntry& e, policies::RcbSnapshot& s) const;
   void arm_epoch();
   void epoch_tick();
+  /// Probes every entry's backlog once, for the evaluation that follows.
+  void probe_backlogs();
+  /// Evaluates the policy over the acked entries and applies the decision
+  /// to their gates. Each entry's `backlogged` must already be probed for
+  /// this evaluation (probe_backlogs() or the epoch tick's accounting).
   void run_dispatcher();
 
   sim::Simulation& sim_;
   Gid gid_;
   std::unique_ptr<policies::DeviceSchedPolicy> policy_;
   Config config_;
+  /// The policy's needs_periodic_evaluation(), fixed at construction.
+  bool ticking_ = true;
   sim::FlatMap<int, RcbEntry> rcb_;
+  /// Snapshot buffer reused by every evaluation.
+  std::vector<policies::RcbSnapshot> snaps_;
   sim::FlatMap<std::string, sim::SimTime> tenant_service_;
   int next_signal_ = 1;
   bool epoch_armed_ = false;

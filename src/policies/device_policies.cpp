@@ -123,20 +123,34 @@ std::vector<std::uint64_t> MqfqStickyPolicy::pick_awake(
 std::vector<std::uint64_t> MqfqStickyPolicy::pick_awake(
     const std::vector<RcbSnapshot>& rcb, sim::SimTime now) {
   last_now_ = now;
+  ++evaluations_;
 
   // Group the per-thread snapshots by tenant: MQFQ queues are tenant-level,
   // one flow per tenant regardless of how many threads it has registered.
-  struct TenantView {
-    sim::SimTime attained = 0;
-    double weight = 1.0;
-    bool backlogged = false;
-  };
-  std::map<std::string, TenantView> tenants;
-  for (const auto& r : rcb) {
-    auto& t = tenants[r.tenant];
-    t.attained = std::max(t.attained, r.tenant_attained);
-    t.weight = r.tenant_weight > 0.0 ? r.tenant_weight : 1.0;
-    t.backlogged = t.backlogged || r.backlogged;
+  // Sorting by name (snapshot order within a name) makes each tenant one run
+  // and visits tenants in name order, the deterministic tie-break order.
+  by_tenant_.clear();
+  for (const auto& r : rcb) by_tenant_.push_back(&r);
+  std::sort(by_tenant_.begin(), by_tenant_.end(),
+            [](const RcbSnapshot* a, const RcbSnapshot* b) {
+              const int c = a->tenant.compare(b->tenant);
+              return c != 0 ? c < 0 : a < b;
+            });
+  tenants_.clear();
+  for (const RcbSnapshot* r : by_tenant_) {
+    if (tenants_.empty() || *tenants_.back().name != r->tenant) {
+      tenants_.emplace_back().name = &r->tenant;
+    }
+    TenantView& t = tenants_.back();
+    t.attained = std::max(t.attained, r->tenant_attained);
+    t.weight = r->tenant_weight > 0.0 ? r->tenant_weight : 1.0;
+    t.backlogged = t.backlogged || r->backlogged;
+    // Each flow is a FIFO: only its head-of-line thread (lowest key =
+    // registration order) dispatches. Waking a tenant's whole thread set
+    // would let a deep backlog flood the engine queues past the throttle.
+    if (r->backlogged && (t.head == nullptr || r->key < t.head->key)) {
+      t.head = r;
+    }
   }
 
   // Advance each flow's virtual clock by the service its tenant attained
@@ -144,79 +158,74 @@ std::vector<std::uint64_t> MqfqStickyPolicy::pick_awake(
   // idle -> backlogged is lifted to the global virtual time first: idling
   // must never bank credit against active tenants (start-time fair queueing
   // arrival rule).
-  for (auto& [name, view] : tenants) {
-    auto [it, inserted] = flows_.try_emplace(name);
+  for (TenantView& t : tenants_) {
+    auto [it, inserted] = flows_.try_emplace(*t.name);
     Flow& f = it->second;
     if (inserted) {
       f.vt = global_vt_;
-      f.last_attained = view.attained;
+      f.last_attained = t.attained;
     }
-    if (view.backlogged && !f.was_backlogged) f.vt = std::max(f.vt, global_vt_);
-    const sim::SimTime delta = view.attained - f.last_attained;
-    if (delta > 0) f.vt += static_cast<double>(delta) / view.weight;
-    f.last_attained = view.attained;
-    f.was_backlogged = view.backlogged;
+    if (t.backlogged && !f.was_backlogged) f.vt = std::max(f.vt, global_vt_);
+    const sim::SimTime delta = t.attained - f.last_attained;
+    if (delta > 0) f.vt += static_cast<double>(delta) / t.weight;
+    f.last_attained = t.attained;
+    f.was_backlogged = t.backlogged;
+    f.seen_in = evaluations_;
+    t.flow = &f;
   }
   // Flows for tenants with no registered threads left keep their virtual
   // time (so a detach/re-attach cycle cannot reset history) but drop out of
   // the backlogged set and the global-vt computation below.
   for (auto& [name, f] : flows_) {
-    if (tenants.find(name) == tenants.end()) f.was_backlogged = false;
+    if (f.seen_in != evaluations_) f.was_backlogged = false;
   }
 
   // Global virtual time = minimum over backlogged flows; throttle flows more
   // than T ahead of it. The minimum flow is never throttled, so whenever any
   // queue is backlogged at least one tenant is runnable (work conservation).
-  std::vector<std::pair<std::string, const TenantView*>> backlogged;
-  for (const auto& [name, view] : tenants) {
-    if (view.backlogged) backlogged.emplace_back(name, &view);
-  }
   last_throttled_.clear();
-  if (backlogged.empty()) return {};
-  double min_vt = flows_[backlogged.front().first].vt;
-  for (const auto& [name, view] : backlogged) {
-    min_vt = std::min(min_vt, flows_[name].vt);
+  bool any_backlogged = false;
+  double min_vt = 0.0;
+  for (const TenantView& t : tenants_) {
+    if (!t.backlogged) continue;
+    min_vt = any_backlogged ? std::min(min_vt, t.flow->vt) : t.flow->vt;
+    any_backlogged = true;
   }
+  if (!any_backlogged) return {};
   global_vt_ = min_vt;
   const double throttle_at = global_vt_ + static_cast<double>(cfg_.throttle_T);
 
-  std::vector<std::string> runnable;
-  for (const auto& [name, view] : backlogged) {
-    if (flows_[name].vt > throttle_at) {
-      last_throttled_.push_back(name);
+  runnable_.clear();
+  for (const TenantView& t : tenants_) {
+    if (!t.backlogged) continue;
+    if (t.flow->vt > throttle_at) {
+      last_throttled_.push_back(*t.name);
     } else {
-      runnable.push_back(name);
+      runnable_.push_back(&t);
     }
   }
 
   // Stickiness: tenants still inside their window keep their slots first;
   // remaining slots go to the lowest virtual times. Ties break on tenant
-  // name (tenants is an ordered map, so `runnable` is name-sorted already
-  // and stable_sort keeps that order within equal keys).
-  std::stable_sort(runnable.begin(), runnable.end(),
-                   [&](const std::string& a, const std::string& b) {
-                     const Flow& fa = flows_[a];
-                     const Flow& fb = flows_[b];
-                     const bool sa = fa.sticky_until > now;
-                     const bool sb = fb.sticky_until > now;
-                     if (sa != sb) return sa;
-                     return fa.vt < fb.vt;
-                   });
-  if (cfg_.slots > 0 && runnable.size() > static_cast<std::size_t>(cfg_.slots))
-    runnable.resize(static_cast<std::size_t>(cfg_.slots));
+  // name: tenants_ is name-sorted, so position in it is name order.
+  std::sort(runnable_.begin(), runnable_.end(),
+            [now](const TenantView* a, const TenantView* b) {
+              const bool sa = a->flow->sticky_until > now;
+              const bool sb = b->flow->sticky_until > now;
+              if (sa != sb) return sa;
+              if (a->flow->vt != b->flow->vt) return a->flow->vt < b->flow->vt;
+              return a < b;
+            });
+  if (cfg_.slots > 0 &&
+      runnable_.size() > static_cast<std::size_t>(cfg_.slots)) {
+    runnable_.resize(static_cast<std::size_t>(cfg_.slots));
+  }
 
-  // Each flow is a FIFO: only its head-of-line thread dispatches (lowest
-  // key = registration order). Waking a tenant's whole thread set would let
-  // a deep backlog flood the engine queues past the throttle's reach.
   std::vector<std::uint64_t> awake;
-  for (const auto& name : runnable) {
-    flows_[name].sticky_until = now + cfg_.sticky_window;
-    const RcbSnapshot* head = nullptr;
-    for (const auto& r : rcb) {
-      if (r.tenant != name || !r.backlogged) continue;
-      if (head == nullptr || r.key < head->key) head = &r;
-    }
-    if (head != nullptr) awake.push_back(head->key);
+  awake.reserve(runnable_.size());
+  for (const TenantView* t : runnable_) {
+    t->flow->sticky_until = now + cfg_.sticky_window;
+    awake.push_back(t->head->key);
   }
   return awake;
 }

@@ -1,8 +1,14 @@
 // Per-device GPU scheduling policies (paper §IV-B).
 //
-// The Dispatcher evaluates one of these policies every scheduling epoch to
-// decide which backend threads stay awake (may issue GPU work). Policies are
-// pure functions over RCB snapshots so they are unit testable in isolation.
+// The Dispatcher evaluates one of these policies to decide which backend
+// threads stay awake (may issue GPU work). It always evaluates when a thread
+// is admitted (ack) or leaves (unregister); it also evaluates every
+// scheduling epoch, but only for policies whose decision can change between
+// those events (needs_periodic_evaluation). TFS, LAS, PS and MQFQ tick: their
+// inputs (per-epoch service, CGS, entitlement, attained service, stickiness
+// windows) move with time. AllAwake does not: its answer never changes.
+// Policies are pure functions over RCB snapshots so they are unit testable in
+// isolation.
 //
 //   TFS — true fair share: weighted per-tenant shares with history-based
 //         penalties for overshoot; at most one thread awake.
@@ -34,7 +40,7 @@ enum class Phase { kKernelLaunch, kH2D, kD2H, kDefault };
 
 const char* phase_name(Phase p);
 
-/// Read-only view of one Request Control Block entry at epoch boundary.
+/// Read-only view of one Request Control Block entry at evaluation time.
 struct RcbSnapshot {
   std::uint64_t key = 0;  // registration (signal) id
   std::string tenant;
@@ -70,6 +76,11 @@ class DeviceSchedPolicy {
       const std::vector<RcbSnapshot>& rcb, sim::SimTime /*now*/) {
     return pick_awake(rcb);
   }
+  /// Whether the dispatcher must re-run this policy every epoch. Answer
+  /// false only if the decision depends on nothing but the set of admitted
+  /// threads, which changes only on ack and unregister; the scheduler then
+  /// arms no epoch timer. Read once, when the scheduler is constructed.
+  virtual bool needs_periodic_evaluation() const { return true; }
 };
 
 /// Everything awake — the behaviour of plain GPU sharing with no
@@ -79,6 +90,7 @@ class AllAwakePolicy final : public DeviceSchedPolicy {
   const char* name() const override { return "AllAwake"; }
   std::vector<std::uint64_t> pick_awake(
       const std::vector<RcbSnapshot>& rcb) override;
+  bool needs_periodic_evaluation() const override { return false; }
 };
 
 class TfsPolicy final : public DeviceSchedPolicy {
@@ -148,12 +160,27 @@ class MqfqStickyPolicy final : public DeviceSchedPolicy {
     sim::SimTime last_attained = 0;  // tenant_attained at last evaluation
     sim::SimTime sticky_until = -1;  // holds a slot while now < sticky_until
     bool was_backlogged = false;
+    std::uint64_t seen_in = 0;  // last evaluation the tenant had threads in
+  };
+  /// One tenant's threads folded together for a single evaluation.
+  struct TenantView {
+    const std::string* name = nullptr;
+    Flow* flow = nullptr;
+    sim::SimTime attained = 0;
+    double weight = 1.0;
+    bool backlogged = false;
+    const RcbSnapshot* head = nullptr;  // lowest-key backlogged thread
   };
   MqfqConfig cfg_;
   std::map<std::string, Flow> flows_;  // ordered: deterministic tie-breaks
   double global_vt_ = 0.0;
   std::vector<std::string> last_throttled_;
   sim::SimTime last_now_ = 0;
+  std::uint64_t evaluations_ = 0;
+  // Scratch reused across evaluations instead of rebuilt on every call.
+  std::vector<const RcbSnapshot*> by_tenant_;
+  std::vector<TenantView> tenants_;
+  std::vector<const TenantView*> runnable_;
 };
 
 /// Factory by name ("AllAwake", "TFS", "LAS", "PS", "MQFQ" with default

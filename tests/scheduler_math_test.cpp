@@ -70,7 +70,7 @@ TEST(SchedulerMath, CgsFollowsEquationOne) {
 }
 
 TEST(SchedulerMath, EpochServiceIsPerEpochDelta) {
-  Fixture f;
+  Fixture f("LAS");
   const int id = f.add_app("A");
   f.sched->on_op_complete(id, kernel_op(0, msec(3)));
   f.sim.run_until(msec(10));
@@ -127,7 +127,7 @@ TEST(SchedulerMath, IdleTenantAccruesNoEntitlement) {
 }
 
 TEST(SchedulerMath, EpochTimerStopsWhenEmptyAndRearms) {
-  Fixture f;
+  Fixture f("LAS");
   const int id = f.add_app("A");
   f.sim.run_until(msec(25));
   const auto epochs_before = f.sched->epochs_run();
@@ -139,6 +139,47 @@ TEST(SchedulerMath, EpochTimerStopsWhenEmptyAndRearms) {
   f.sim.run_until(f.sim.now() + msec(15));
   EXPECT_GT(f.sched->epochs_run(), epochs_before);
   f.sched->unregister_app(id2);
+}
+
+TEST(SchedulerMath, AllAwakeArmsNoEpochTimer) {
+  // AllAwake's decision cannot change between admissions and departures, so
+  // the dispatcher runs on ack/unregister only and never arms a timer.
+  Fixture f;  // AllAwake
+  WakeGate gate(f.sim);
+  GpuScheduler::RcbInit init;
+  init.app_type = "X";
+  init.tenant = "A";
+  init.gate = &gate;
+  init.backlog_probe = [] { return 1; };
+  const int id = f.sched->register_app(init);
+  f.sched->ack(id);
+  ASSERT_EQ(f.sim.queue_size(), 0u);  // no timer armed
+  f.sim.run();                        // so the run drains at once
+  EXPECT_EQ(f.sim.now(), 0);
+  EXPECT_EQ(f.sched->epochs_run(), 0);
+  EXPECT_TRUE(gate.awake());
+  EXPECT_EQ(f.sched->dispatcher_wakes(), 1);  // the admission
+}
+
+TEST(SchedulerMath, BacklogProbedOncePerRcbPerEvaluation) {
+  // The epoch's entitlement accrual and the dispatcher's snapshot share one
+  // probe of each entry's backlog.
+  Fixture f("TFS");
+  int probes = 0;
+  for (const char* tenant : {"A", "B"}) {
+    GpuScheduler::RcbInit init;
+    init.app_type = "X";
+    init.tenant = tenant;
+    init.backlog_probe = [&probes] {
+      ++probes;
+      return 1;
+    };
+    f.sched->ack(f.sched->register_app(init));
+  }
+  probes = 0;
+  f.sim.run_until(msec(50));
+  ASSERT_EQ(f.sched->epochs_run(), 5);
+  EXPECT_EQ(probes, 2 * 5);
 }
 
 TEST(SchedulerMath, BytesAccessedGiveTableOneBandwidth) {
