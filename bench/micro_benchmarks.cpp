@@ -57,6 +57,41 @@ long run_event_chains(int chains, long total) {
   return fired;
 }
 
+// The open-loop churn shape: six timers seconds out stretch the event
+// horizon while `chains` self-rescheduling events, each re-armed 0-40 us
+// ahead (an LCG, so pushes land out of order), carry the work. Measures
+// the queue under a skewed horizon, where a width taken from the whole
+// span would put every near event in one bucket.
+struct JitterChain {
+  sim::Simulation* sim = nullptr;
+  long remaining = 0;
+  long* fired = nullptr;
+  std::uint64_t state = 0;
+  void fire() {
+    ++*fired;
+    if (--remaining > 0) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      const auto delay =
+          static_cast<sim::SimTime>((state >> 33) % sim::usec(40));
+      sim->schedule(delay, [this] { fire(); });
+    }
+  }
+};
+
+long run_skewed_event_loop(int chains, long total) {
+  sim::Simulation sim;
+  long fired = 0;
+  for (int i = 1; i <= 6; ++i) sim.schedule(sim::sec(2) * i, [] {});
+  std::vector<JitterChain> cs(static_cast<std::size_t>(chains));
+  for (int i = 0; i < chains; ++i) {
+    cs[static_cast<std::size_t>(i)] = {&sim, total / chains, &fired,
+                                       static_cast<std::uint64_t>(i)};
+    sim.schedule(0, [&cs, i] { cs[static_cast<std::size_t>(i)].fire(); });
+  }
+  sim.run();
+  return fired;
+}
+
 // `procs` processes each parking and resuming `waits` times: one fiber (or,
 // before the fiber kernel, thread-baton) round trip per wait.
 long run_park_resume(int procs, int waits) {
@@ -283,6 +318,8 @@ void record_event_loop_report() {
   std::printf("\n-- event-loop throughput (STRINGS_BENCH_REPORT entries) --\n");
   record_throughput_entry("event_loop",
                           [] { return run_event_chains(256, 2'000'000); });
+  record_throughput_entry("event_loop_skewed",
+                          [] { return run_skewed_event_loop(384, 2'000'000); });
   record_throughput_entry("park_resume",
                           [] { return run_park_resume(256, 2'000); });
   record_throughput_entry("mailbox_pingpong",

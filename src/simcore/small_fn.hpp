@@ -5,7 +5,7 @@
 // capture in this codebase — a resume closure is [Simulation*, Process*]
 // plus padding, a channel delivery closure carries a whole rpc::Packet.
 // SmallFn keeps 80 bytes inline so the common closures, packets included,
-// live directly inside the event queue's bucket storage and scheduling an
+// live directly inside the event queue's closure pool and scheduling an
 // event allocates nothing.
 //
 // Compared to std::function: move-only (captures need not be copyable,
@@ -47,6 +47,17 @@ class SmallFn {
     requires(!std::is_same_v<std::decay_t<F>, SmallFn> &&
              std::is_invocable_r_v<void, std::decay_t<F>&>)
   SmallFn(F&& f) {  // NOLINT(google-explicit-constructor)
+    emplace(std::forward<F>(f));
+  }
+
+  /// Replaces the target with `f`, constructed in place. Lets a pooled
+  /// SmallFn be refilled without a temporary and a relocate. If the
+  /// construction throws, *this is left empty.
+  template <typename F>
+    requires(!std::is_same_v<std::decay_t<F>, SmallFn> &&
+             std::is_invocable_r_v<void, std::decay_t<F>&>)
+  void emplace(F&& f) {
+    reset();
     using Fn = std::decay_t<F>;
     if constexpr (sizeof(Fn) <= kInlineBytes &&
                   alignof(Fn) <= alignof(std::max_align_t) &&
@@ -86,9 +97,10 @@ class SmallFn {
   struct Ops {
     void (*invoke)(void* buf);
     // Move-construct into `dst` from `src`, destroying `src`. nullptr means
-    // trivially relocatable: moving is a memcpy of the buffer. Event-queue
-    // closures are almost all trivially copyable captures of a few pointers,
-    // so the hot path relocates without an indirect call.
+    // trivially relocatable: moving is a memcpy of the buffer. Most kernel
+    // closures capture a few pointers and take that path; a channel
+    // delivery owns an rpc::Packet and pays an indirect call per move,
+    // which is why the event queue moves each closure only once.
     void (*relocate)(void* dst, void* src);
     // nullptr means trivially destructible: dropping is free.
     void (*destroy)(void* buf);

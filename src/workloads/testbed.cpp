@@ -17,17 +17,23 @@ namespace {
 /// entry per request for the life of the run (open-loop churn made that a
 /// real leak). The accumulated per-tenant service itself survives — that is
 /// the whole-run quantity Jain is computed over.
+///
+/// A kill-unwind (Simulation::terminate_processes after a run_until
+/// horizon) destroys the API on a process that must not block: no event
+/// will ever drain its outstanding work. Then the flush is skipped and
+/// DirectApi's destructor releases the contexts without synchronizing.
 class BaselineApi final : public frontend::DirectApi {
  public:
-  BaselineApi(cuda::CudaRuntime& rt,
+  BaselineApi(sim::Simulation& sim, cuda::CudaRuntime& rt,
               sim::FlatMap<cuda::ProcessId, std::string>& pid_tenant)
-      : DirectApi(rt), pid_tenant_(pid_tenant) {}
+      : DirectApi(rt), sim_(sim), pid_tenant_(pid_tenant) {}
   ~BaselineApi() override {
-    cudaThreadExit();
+    if (!sim_.tearing_down()) cudaThreadExit();
     pid_tenant_.erase(pid());
   }
 
  private:
+  sim::Simulation& sim_;
   sim::FlatMap<cuda::ProcessId, std::string>& pid_tenant_;
 };
 
@@ -579,8 +585,8 @@ rpc::LinkModel Testbed::control_link_for(core::NodeId node) const {
 std::unique_ptr<frontend::GpuApi> Testbed::make_api(
     const backend::AppDescriptor& app) {
   if (config_.mode == Mode::kCudaBaseline) {
-    auto api = std::make_unique<BaselineApi>(runtime(app.origin_node),
-                                             baseline_pid_tenant_);
+    auto api = std::make_unique<BaselineApi>(
+        sim_, runtime(app.origin_node), baseline_pid_tenant_);
     baseline_pid_tenant_[api->pid()] = app.tenant;
     return api;
   }

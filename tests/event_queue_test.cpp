@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <queue>
 #include <random>
 #include <utility>
@@ -116,6 +117,53 @@ TEST(CalendarQueue, SurvivesHorizonShift) {
   while (!q.empty()) pop_and_compare(q, ref);
 }
 
+TEST(CalendarQueue, SkewedHorizonStaysShallow) {
+  // The open-loop churn shape: a few tenant timers seconds out stretch the
+  // event horizon while a dense microsecond stream, pushed out of order,
+  // carries the real work. A width taken from the whole span puts the
+  // entire stream in one bucket, and every insert shifts it; a width taken
+  // from the near events keeps buckets a few keys deep.
+  std::mt19937 rng(11);
+  CalendarQueue q;
+  RefHeap ref;
+  std::uint64_t seq = 0;
+  for (int i = 1; i <= 6; ++i) {
+    push_both(q, ref, sec(2) * i, seq++, /*weak=*/i % 2 == 0);
+  }
+  std::uniform_int_distribution<SimTime> jitter(0, usec(40));
+  for (int i = 0; i < 384; ++i) push_both(q, ref, jitter(rng), seq++);
+  for (int step = 0; step < 50000; ++step) {
+    const SimTime floor = ref.top().time;
+    pop_and_compare(q, ref);
+    push_both(q, ref, floor + jitter(rng), seq++);
+    ASSERT_EQ(q.size(), ref.size());
+  }
+  while (!q.empty()) pop_and_compare(q, ref);
+  const CalendarQueue::Stats& st = q.stats();
+  EXPECT_LE(st.shifted, 4 * st.pushes)
+      << st.shifted << " keys shifted over " << st.pushes << " pushes";
+}
+
+TEST(CalendarQueue, PendingClosuresDestroyedOnceAtTeardown) {
+  // Closures live in a slot pool; popped slots are reused. Whatever is
+  // still queued when the queue dies must be destroyed exactly once.
+  auto token = std::make_shared<int>(0);
+  {
+    CalendarQueue q;
+    std::uint64_t seq = 0;
+    for (int i = 0; i < 100; ++i) {
+      q.push(usec(i % 13), seq++, [token] { ++*token; }, false);
+    }
+    for (int i = 0; i < 60; ++i) q.pop().fn();
+    for (int i = 0; i < 30; ++i) {
+      q.push(usec(20 + i), seq++, [token] { ++*token; }, false);
+    }
+    EXPECT_EQ(token.use_count(), 1 + 70);
+  }
+  EXPECT_EQ(*token, 60);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
 TEST(Simulation, SameTimestampCallbacksRunInScheduleOrder) {
   Simulation sim;
   std::vector<int> order;
@@ -155,6 +203,18 @@ TEST(Simulation, RunUntilBoundaryIsInclusive) {
   // Advancing over an empty queue still moves the clock.
   EXPECT_FALSE(sim.run_until(usec(30)));
   EXPECT_EQ(sim.now(), usec(30));
+}
+
+TEST(Simulation, RunUntilLeavesRoomBeforeLaterEvents) {
+  // run_until peeks at an event past its horizon; events scheduled after it
+  // returns, between the horizon and that event, must still run first.
+  Simulation sim;
+  std::vector<int> ran;
+  sim.schedule(sec(10), [&] { ran.push_back(10); });
+  EXPECT_TRUE(sim.run_until(sec(1)));
+  sim.schedule(usec(1) + 3, [&] { ran.push_back(1); });
+  sim.run();
+  EXPECT_EQ(ran, (std::vector<int>{1, 10}));
 }
 
 // The intrusive wait cells replaced shared_ptr<WaitCell> tombstones:
