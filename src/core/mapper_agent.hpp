@@ -75,6 +75,12 @@ class MapperAgent {
   bool subscribed() const { return subscribed_; }
   /// Counters including this agent's channel byte/packet totals.
   ControlPlaneStats stats() const;
+  /// This agent's own counters by reference, without copying the placement
+  /// vectors. Their bytes_sent/packets_sent stay 0; the channel totals that
+  /// stats() reports come from bytes_sent()/packets_sent().
+  const ControlPlaneStats& counters() const { return stats_; }
+  std::uint64_t bytes_sent() const;
+  std::uint64_t packets_sent() const;
 
   /// Optional registry histogram: every placement decision's latency is
   /// additionally observed into it (milliseconds).

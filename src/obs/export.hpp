@@ -12,6 +12,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -34,6 +35,6 @@ void write_metrics_csv(const Registry& registry, std::ostream& os);
 bool write_metrics_csv_file(const Registry& registry, const std::string& path);
 
 /// Escapes a string for embedding in a JSON string literal (no quotes).
-std::string json_escape(const std::string& s);
+std::string json_escape(std::string_view s);
 
 }  // namespace strings::obs

@@ -213,8 +213,9 @@ ProfInput input_from_tracer(const Tracer& tracer) {
   }
   for (const auto& e : tracer.events()) {
     if (e.type != Tracer::EventType::kComplete) continue;
-    if (e.name != "KL" && e.name != "H2D" && e.name != "D2H") continue;
-    for (const auto& a : e.args) {
+    const std::string& name = tracer.name(e.name_id);
+    if (name != "KL" && name != "H2D" && name != "D2H") continue;
+    for (const auto& a : tracer.args(e)) {
       if (a.key == "tenant") {
         in.attained_ns[a.value] += e.dur;
         break;

@@ -33,13 +33,19 @@ std::vector<std::int64_t> Histogram::cumulative() const {
 
 Counter& Registry::counter(const std::string& name) {
   auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
+  if (!slot) {
+    slot = std::make_unique<Counter>();
+    ++layout_version_;
+  }
   return *slot;
 }
 
 Gauge& Registry::gauge(const std::string& name) {
   auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
+  if (!slot) {
+    slot = std::make_unique<Gauge>();
+    ++layout_version_;
+  }
   return *slot;
 }
 
@@ -50,7 +56,10 @@ void Registry::gauge_fn(const std::string& name, std::function<double()> fn) {
 Histogram& Registry::histogram(const std::string& name,
                                std::vector<double> bounds) {
   auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
+  if (!slot) {
+    slot = std::make_unique<Histogram>(std::move(bounds));
+    ++layout_version_;
+  }
   return *slot;
 }
 
@@ -64,49 +73,33 @@ std::size_t Registry::size() const {
 }
 
 std::vector<Registry::Sample> Registry::collect() const {
-  // Merge the three name-sorted maps into one lexicographic stream.
   std::vector<Sample> out;
-  auto c = counters_.begin();
-  auto g = gauges_.begin();
-  auto h = histograms_.begin();
-  auto next_name = [&]() -> const std::string* {
-    const std::string* best = nullptr;
-    if (c != counters_.end()) best = &c->first;
-    if (g != gauges_.end() && (best == nullptr || g->first < *best)) {
-      best = &g->first;
-    }
-    if (h != histograms_.end() && (best == nullptr || h->first < *best)) {
-      best = &h->first;
-    }
-    return best;
-  };
   auto fmt_bound = [](double b) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%g", b);
     return std::string(buf);
   };
-  while (const std::string* name = next_name()) {
-    if (c != counters_.end() && &c->first == name) {
-      out.push_back({*name, "value", static_cast<double>(c->second->value())});
-      ++c;
-    } else if (g != gauges_.end() && &g->first == name) {
-      out.push_back({*name, "value", g->second->value()});
-      ++g;
-    } else {
-      const Histogram& hist = *h->second;
-      out.push_back({*name, "count", static_cast<double>(hist.count())});
-      out.push_back({*name, "sum", hist.sum()});
-      out.push_back({*name, "min", hist.min()});
-      out.push_back({*name, "max", hist.max()});
-      const auto cum = hist.cumulative();
-      for (std::size_t i = 0; i < hist.bounds().size(); ++i) {
-        out.push_back({*name, "le_" + fmt_bound(hist.bounds()[i]),
-                       static_cast<double>(cum[i])});
-      }
-      out.push_back({*name, "le_inf", static_cast<double>(cum.back())});
-      ++h;
+  visit([&](const std::string& name, const Counter* c, const Gauge* g,
+            const Histogram* h) {
+    if (c != nullptr) {
+      out.push_back({name, "value", static_cast<double>(c->value())});
+      return;
     }
-  }
+    if (g != nullptr) {
+      out.push_back({name, "value", g->value()});
+      return;
+    }
+    out.push_back({name, "count", static_cast<double>(h->count())});
+    out.push_back({name, "sum", h->sum()});
+    out.push_back({name, "min", h->min()});
+    out.push_back({name, "max", h->max()});
+    const auto cum = h->cumulative();
+    for (std::size_t i = 0; i < h->bounds().size(); ++i) {
+      out.push_back({name, "le_" + fmt_bound(h->bounds()[i]),
+                     static_cast<double>(cum[i])});
+    }
+    out.push_back({name, "le_inf", static_cast<double>(cum.back())});
+  });
   return out;
 }
 

@@ -16,6 +16,11 @@
 // first — "node0/gpu1/sched/wakes", "control_plane/agent0/select_rpcs",
 // "node1/daemon/wire_bytes". Collection order is lexicographic, so CSV
 // output is diff-stable.
+//
+// Instruments are never removed, and the objects behind the references the
+// registry hands out stay put, so a consumer that polls every window
+// (obs::TimeSeries) resolves them once by handle and re-resolves only when
+// layout_version() moves.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +66,9 @@ class Histogram {
   double max() const { return count_ > 0 ? max_ : 0.0; }
   /// Upper bounds, ascending; the implicit +inf bucket is not included.
   const std::vector<double>& bounds() const { return bounds_; }
+  /// Per-bucket (non-cumulative) counts, aligned with bounds() plus the
+  /// final +inf bucket.
+  const std::vector<std::int64_t>& bucket_counts() const { return buckets_; }
   /// Cumulative count of observations <= bounds()[i]; the final entry is
   /// the +inf bucket (== count()).
   std::vector<std::int64_t> cumulative() const;
@@ -95,6 +103,18 @@ class Registry {
   bool contains(const std::string& name) const;
   std::size_t size() const;
 
+  /// Bumped each time an instrument is first created (rebinding a gauge
+  /// callback does not count): a consumer holding handles resolved at one
+  /// version still sees every instrument while the version is unchanged.
+  std::uint64_t layout_version() const { return layout_version_; }
+
+  /// Calls `f(name, counter, gauge, histogram)` once per instrument,
+  /// lexicographically by name (a name registered under several kinds
+  /// visits counter, gauge, histogram in that order); exactly one of the
+  /// three pointers is non-null.
+  template <class F>
+  void visit(F&& f) const;
+
   /// Flattens every instrument, lexicographically by name. Counters and
   /// gauges yield one "value" sample; histograms yield count/sum/min/max
   /// plus one cumulative "le_<bound>" sample per bucket and "le_inf".
@@ -109,7 +129,40 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::uint64_t layout_version_ = 0;
 };
+
+template <class F>
+void Registry::visit(F&& f) const {
+  // Merge the three name-sorted maps into one lexicographic stream.
+  const Counter* const no_counter = nullptr;
+  const Gauge* const no_gauge = nullptr;
+  const Histogram* const no_histogram = nullptr;
+  auto c = counters_.begin();
+  auto g = gauges_.begin();
+  auto h = histograms_.begin();
+  while (true) {
+    const std::string* best = nullptr;
+    if (c != counters_.end()) best = &c->first;
+    if (g != gauges_.end() && (best == nullptr || g->first < *best)) {
+      best = &g->first;
+    }
+    if (h != histograms_.end() && (best == nullptr || h->first < *best)) {
+      best = &h->first;
+    }
+    if (best == nullptr) return;
+    if (c != counters_.end() && &c->first == best) {
+      f(*best, c->second.get(), no_gauge, no_histogram);
+      ++c;
+    } else if (g != gauges_.end() && &g->first == best) {
+      f(*best, no_counter, g->second.get(), no_histogram);
+      ++g;
+    } else {
+      f(*best, no_counter, no_gauge, h->second.get());
+      ++h;
+    }
+  }
+}
 
 /// Default bucket bounds for latency-style histograms, in milliseconds.
 std::vector<double> default_latency_buckets_ms();

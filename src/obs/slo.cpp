@@ -167,17 +167,20 @@ std::vector<SloAlert> SloWatchdog::evaluate(const Window& w) {
   std::vector<SloAlert> out;
   for (std::size_t ri = 0; ri < rules_.size(); ++ri) {
     const SloRule& rule = rules_[ri];
-    // Expand the pattern against this window's series. Window maps are
-    // name-sorted, so expansion (and thus alert order) is deterministic.
+    // Expand the pattern against this window's series. Windows are
+    // name-ordered, so expansion (and thus alert order) is deterministic.
     std::vector<std::string> matched;
     if (rule.metric.find('*') == std::string::npos) {
       matched.push_back(rule.metric);
     } else {
-      for (const auto& [name, p] : w.series) {
+      for (std::size_t i = 0; i < w.series.size(); ++i) {
+        const std::string& name = w.series_name(i);
         if (slo_metric_match(rule.metric, name)) matched.push_back(name);
       }
-      for (const auto& [name, h] : w.hists) {
-        if (w.series.count(name) == 0 && slo_metric_match(rule.metric, name)) {
+      for (const WindowHistogram& h : w.hists) {
+        const std::string& name = w.hist_name(h);
+        if (w.find_series(name) == nullptr &&
+            slo_metric_match(rule.metric, name)) {
           matched.push_back(name);
         }
       }

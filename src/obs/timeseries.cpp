@@ -1,9 +1,8 @@
 #include "obs/timeseries.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
 #include <stdexcept>
 
 namespace strings::obs {
@@ -29,24 +28,79 @@ double histogram_quantile(const std::vector<double>& bounds,
 }
 
 double WindowHistogram::quantile(double q) const {
-  return histogram_quantile(bounds, cum, q);
+  static const std::vector<double> kNoBounds;
+  return histogram_quantile(bounds != nullptr ? *bounds : kNoBounds, cum, q);
 }
 
 namespace {
 
-/// Parses the numeric bound out of a histogram bucket field ("le_0.5",
-/// "le_inf"). Returns false for non-bucket fields (count/sum/min/max).
-bool parse_bucket_bound(const std::string& field, double* bound) {
-  if (field.size() < 4 || field.compare(0, 3, "le_") != 0) return false;
-  if (field == "le_inf") {
-    *bound = std::numeric_limits<double>::infinity();
-    return true;
-  }
-  *bound = std::strtod(field.c_str() + 3, nullptr);
-  return true;
+/// Binary search of a name-ordered layout array; npos when absent.
+template <class Entries>
+std::size_t find_by_name(const Entries& entries, std::string_view name) {
+  const auto it = std::lower_bound(
+      entries.begin(), entries.end(), name,
+      [](const auto& e, std::string_view n) { return e.name < n; });
+  if (it == entries.end() || it->name != name) return WindowLayout::npos;
+  return static_cast<std::size_t>(it - entries.begin());
+}
+
+double read_scalar(const WindowLayout::Scalar& s) {
+  return s.counter != nullptr ? static_cast<double>(s.counter->value())
+                              : s.gauge->value();
 }
 
 }  // namespace
+
+std::size_t WindowLayout::find_scalar(std::string_view name) const {
+  return find_by_name(scalars, name);
+}
+
+std::size_t WindowLayout::find_histogram(std::string_view name) const {
+  return find_by_name(histograms, name);
+}
+
+const SeriesPoint* Window::find_series(std::string_view name) const {
+  if (layout == nullptr) return nullptr;
+  const std::size_t i = layout->find_scalar(name);
+  return i == WindowLayout::npos ? nullptr : &series[i];
+}
+
+const WindowHistogram* Window::find_hist(std::string_view name) const {
+  if (layout == nullptr) return nullptr;
+  const std::size_t k = layout->find_histogram(name);
+  if (k == WindowLayout::npos) return nullptr;
+  const auto it = std::lower_bound(
+      hists.begin(), hists.end(), k,
+      [](const WindowHistogram& h, std::size_t e) { return h.entry < e; });
+  return it == hists.end() || it->entry != k ? nullptr : &*it;
+}
+
+WindowBuilder::WindowBuilder(std::uint64_t index, sim::SimTime start,
+                             sim::SimTime end) {
+  w_.index = index;
+  w_.start = start;
+  w_.end = end;
+}
+
+WindowBuilder& WindowBuilder::series(std::string name, double value,
+                                     double delta) {
+  points_.emplace_back(std::move(name), SeriesPoint{value, delta});
+  return *this;
+}
+
+Window WindowBuilder::build() const {
+  auto points = points_;
+  std::stable_sort(points.begin(), points.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  auto layout = std::make_shared<WindowLayout>();
+  Window w = w_;
+  for (auto& [name, p] : points) {
+    layout->scalars.push_back({std::move(name), nullptr, nullptr});
+    w.series.push_back(p);
+  }
+  w.layout = std::move(layout);
+  return w;
+}
 
 TimeSeries::TimeSeries(Config config) : config_(config) {
   if (config_.window <= 0) {
@@ -55,69 +109,123 @@ TimeSeries::TimeSeries(Config config) : config_(config) {
   if (config_.retain == 0) config_.retain = 1;
 }
 
+void TimeSeries::compile(const Registry& registry) {
+  if (layout_ != nullptr && layout_->registry == &registry &&
+      layout_->version == registry.layout_version()) {
+    return;
+  }
+  auto next = std::make_shared<WindowLayout>();
+  next->registry = &registry;
+  next->version = registry.layout_version();
+  std::size_t cum_size = 0;
+  registry.visit([&](const std::string& name, const Counter* c,
+                     const Gauge* g, const Histogram* h) {
+    if (h == nullptr) {
+      next->scalars.push_back({name, c, g});
+      return;
+    }
+    next->histograms.push_back({name, h, cum_size});
+    cum_size += h->bucket_counts().size();
+  });
+
+  // Carry the previous close over by name (both layouts are name-ordered,
+  // and a registry never drops an instrument, so a name keeps its object).
+  // New instruments start from zero, so their first window's delta is
+  // their whole cumulative value; so does everything on a new registry.
+  std::vector<double> scalar(next->scalars.size(), 0.0);
+  std::vector<double> hist_sum(next->histograms.size(), 0.0);
+  std::vector<std::int64_t> hist_cum(cum_size, 0);
+  if (layout_ != nullptr && layout_->registry == &registry) {
+    const auto same_kind = [](const WindowLayout::Scalar& a,
+                              const WindowLayout::Scalar& b) {
+      return (a.counter != nullptr) == (b.counter != nullptr);
+    };
+    std::size_t i = 0;
+    for (std::size_t j = 0; j < next->scalars.size(); ++j) {
+      const auto& n = next->scalars[j];
+      while (i < layout_->scalars.size() && layout_->scalars[i].name < n.name) {
+        ++i;
+      }
+      if (i < layout_->scalars.size() && layout_->scalars[i].name == n.name &&
+          same_kind(layout_->scalars[i], n)) {
+        scalar[j] = prev_scalar_[i++];
+      }
+    }
+    i = 0;
+    for (std::size_t j = 0; j < next->histograms.size(); ++j) {
+      const auto& n = next->histograms[j];
+      while (i < layout_->histograms.size() &&
+             layout_->histograms[i].name < n.name) {
+        ++i;
+      }
+      if (i < layout_->histograms.size() &&
+          layout_->histograms[i].name == n.name) {
+        std::copy_n(prev_hist_cum_.begin() + static_cast<std::ptrdiff_t>(
+                                                 layout_->histograms[i].cum_offset),
+                    n.histogram->bucket_counts().size(),
+                    hist_cum.begin() +
+                        static_cast<std::ptrdiff_t>(n.cum_offset));
+        hist_sum[j] = prev_hist_sum_[i++];
+      }
+    }
+  }
+  layout_ = std::move(next);
+  prev_scalar_ = std::move(scalar);
+  prev_hist_sum_ = std::move(hist_sum);
+  prev_hist_cum_ = std::move(hist_cum);
+}
+
 const Window& TimeSeries::close_window(const Registry& registry,
                                        sim::SimTime end, bool partial) {
+  compile(registry);
+  // Reuse the buffers of the window the ring is about to evict.
   Window w;
+  if (ring_.size() >= config_.retain) {
+    w = std::move(ring_.front());
+    ring_.pop_front();
+    w.hists.clear();
+  }
   w.index = next_index_++;
   w.start = last_end_;
   w.end = end;
   w.partial = partial;
+  w.layout = layout_;
 
-  // One pass over the lexicographic sample stream. Scalar samples carry
-  // field "value"; a histogram's fields (count/sum/min/max/le_*) arrive
-  // consecutively under one metric name, le_* in ascending bound order.
-  const auto samples = registry.collect();
-  for (std::size_t i = 0; i < samples.size();) {
-    const Registry::Sample& s = samples[i];
-    if (s.field == "value") {
-      SeriesPoint p;
-      p.value = s.value;
-      const auto prev = prev_scalar_.find(s.metric);
-      p.delta = prev == prev_scalar_.end() ? p.value : p.value - prev->second;
-      prev_scalar_[s.metric] = p.value;
-      w.series.emplace(s.metric, p);
-      ++i;
-      continue;
-    }
-    // Histogram: consume every field of this metric.
-    std::int64_t total = 0;
-    double sum = 0.0;
-    std::vector<double> bounds;
-    std::vector<std::int64_t> cum;
-    for (; i < samples.size() && samples[i].metric == s.metric; ++i) {
-      const Registry::Sample& f = samples[i];
-      double bound = 0.0;
-      if (f.field == "count") {
-        total = static_cast<std::int64_t>(f.value);
-      } else if (f.field == "sum") {
-        sum = f.value;
-      } else if (parse_bucket_bound(f.field, &bound)) {
-        if (!std::isinf(bound)) bounds.push_back(bound);
-        cum.push_back(static_cast<std::int64_t>(f.value));
-      }
-    }
-    auto& prev_cum = prev_hist_cum_[s.metric];
-    auto& prev_sum = prev_hist_sum_[s.metric];
+  const auto& scalars = layout_->scalars;
+  w.series.resize(scalars.size());
+  for (std::size_t i = 0; i < scalars.size(); ++i) {
+    const double v = read_scalar(scalars[i]);
+    w.series[i] = SeriesPoint{v, v - prev_scalar_[i]};
+    prev_scalar_[i] = v;
+  }
+
+  const auto& hists = layout_->histograms;
+  for (std::size_t k = 0; k < hists.size(); ++k) {
+    const Histogram& hist = *hists[k].histogram;
+    const auto& counts = hist.bucket_counts();
+    std::int64_t* prev = prev_hist_cum_.data() + hists[k].cum_offset;
+    // Buckets only grow, so an unchanged total means a quiet window.
+    if (hist.count() == prev[counts.size() - 1]) continue;
     WindowHistogram h;
-    h.bounds = std::move(bounds);
-    h.cum.resize(cum.size());
-    for (std::size_t b = 0; b < cum.size(); ++b) {
-      const std::int64_t before =
-          b < prev_cum.size() ? prev_cum[b] : std::int64_t{0};
+    h.entry = k;
+    h.bounds = &hist.bounds();
+    h.cum.resize(counts.size());
+    std::int64_t acc = 0;
+    for (std::size_t b = 0; b < counts.size(); ++b) {
+      acc += counts[b];
       // Cumulative-over-buckets of per-window bucket deltas equals the delta
       // of the cumulative buckets, so the window histogram stays monotone.
-      h.cum[b] = cum[b] - before;
+      h.cum[b] = acc - prev[b];
+      prev[b] = acc;
     }
-    h.count = h.cum.empty() ? total : h.cum.back();
-    h.sum = sum - prev_sum;
-    prev_cum = std::move(cum);
-    prev_sum = sum;
-    if (h.count > 0) w.hists.emplace(s.metric, std::move(h));
+    h.count = h.cum.back();
+    h.sum = hist.sum() - prev_hist_sum_[k];
+    prev_hist_sum_[k] = hist.sum();
+    w.hists.push_back(std::move(h));
   }
 
   last_end_ = end;
   ring_.push_back(std::move(w));
-  while (ring_.size() > config_.retain) ring_.pop_front();
   return ring_.back();
 }
 
@@ -129,19 +237,18 @@ bool is_valid_reducer(const std::string& reducer) {
 
 std::optional<double> reduce_window(const Window& w, const std::string& series,
                                     const std::string& reducer) {
-  const auto sit = w.series.find(series);
-  if (sit != w.series.end()) {
-    if (reducer == "value") return sit->second.value;
-    if (reducer == "delta") return sit->second.delta;
+  if (const SeriesPoint* p = w.find_series(series)) {
+    if (reducer == "value") return p->value;
+    if (reducer == "delta") return p->delta;
     if (reducer == "rate") {
       const double s = w.seconds();
-      return s > 0.0 ? sit->second.delta / s : 0.0;
+      return s > 0.0 ? p->delta / s : 0.0;
     }
     return std::nullopt;  // percentile reducers need a histogram
   }
-  const auto hit = w.hists.find(series);
-  if (hit == w.hists.end()) return std::nullopt;
-  const WindowHistogram& h = hit->second;
+  const WindowHistogram* hp = w.find_hist(series);
+  if (hp == nullptr) return std::nullopt;
+  const WindowHistogram& h = *hp;
   if (reducer == "delta") return static_cast<double>(h.count);
   if (reducer == "rate") {
     const double s = w.seconds();
@@ -215,11 +322,12 @@ void write_stream_line(std::ostream& os, const Window& w,
   if (w.partial) line.append(",\"partial\":true");
   line.append(",\"series\":{");
   bool first = true;
-  for (const auto& [name, p] : w.series) {
+  for (std::size_t i = 0; i < w.series.size(); ++i) {
+    const SeriesPoint& p = w.series[i];
     if (p.delta == 0.0) continue;  // quiet series stay implicit
     if (!first) line.push_back(',');
     first = false;
-    append_json_string(&line, name);
+    append_json_string(&line, w.series_name(i));
     line.append(":{\"value\":");
     append_double(&line, p.value);
     line.append(",\"delta\":");
@@ -228,10 +336,10 @@ void write_stream_line(std::ostream& os, const Window& w,
   }
   line.append("},\"quantiles\":{");
   first = true;
-  for (const auto& [name, h] : w.hists) {
+  for (const WindowHistogram& h : w.hists) {
     if (!first) line.push_back(',');
     first = false;
-    append_json_string(&line, name);
+    append_json_string(&line, w.hist_name(h));
     line.append(":{\"count\":");
     line.append(std::to_string(h.count));
     line.append(",\"sum\":");

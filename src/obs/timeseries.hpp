@@ -18,6 +18,15 @@
 // Simulation::schedule_weak — the owner (workloads::Testbed) re-arms a weak
 // tick, so enabling the stream never extends a run.
 //
+// A close reads the registry through a compiled WindowLayout: every
+// instrument in name order, resolved once to its Counter/Gauge/Histogram
+// handle. The previous close's values sit in flat arrays aligned with that
+// layout, so a close is one pass over handles — no name lookups, no
+// per-sample strings, no map nodes. The layout is recompiled (carrying the
+// previous values over by name) only when Registry::layout_version() moves,
+// i.e. when a lazily registered instrument (tenant/..., slo/..., mqfq/...)
+// first appears.
+//
 // Everything here is a pure function of registry content and virtual time:
 // no wall clock, no randomness — a streamed .jsonl is byte-identical across
 // repeated runs (pinned by tests/stream_zero_overhead_test.cpp).
@@ -25,10 +34,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -42,12 +53,43 @@ struct SeriesPoint {
   double delta = 0.0;  // change over this window
 };
 
+/// The registry's instruments in name order, resolved to handles. Compiled
+/// by TimeSeries, immutable afterwards, and shared by every Window closed
+/// over it. The handles point into the Registry, which must outlive the
+/// windows that read them.
+struct WindowLayout {
+  /// A counter or gauge (exactly one pointer is set when compiled from a
+  /// registry; both are null in layouts assembled by WindowBuilder).
+  struct Scalar {
+    std::string name;
+    const Counter* counter = nullptr;
+    const Gauge* gauge = nullptr;
+  };
+  struct Hist {
+    std::string name;
+    const Histogram* histogram = nullptr;
+    /// Start of this histogram's buckets in TimeSeries' flat array of
+    /// previous cumulative counts.
+    std::size_t cum_offset = 0;
+  };
+
+  const Registry* registry = nullptr;
+  std::uint64_t version = 0;  // Registry::layout_version() at compile
+  std::vector<Scalar> scalars;
+  std::vector<Hist> histograms;
+
+  /// Index of `name` in scalars / histograms (binary search), or npos.
+  std::size_t find_scalar(std::string_view name) const;
+  std::size_t find_histogram(std::string_view name) const;
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+};
+
 /// One histogram's activity within a single window.
 struct WindowHistogram {
-  /// Finite upper bounds, ascending (parsed back from the registry's
-  /// le_<bound> fields, so the stream needs no side channel to the
-  /// Histogram objects).
-  std::vector<double> bounds;
+  /// Index into the window layout's histograms (name, handle).
+  std::size_t entry = 0;
+  /// Finite upper bounds, ascending: the registry histogram's own bounds.
+  const std::vector<double>* bounds = nullptr;
   /// Cumulative observation counts within this window: cum[i] observations
   /// <= bounds[i]; the final entry is the +inf bucket (== count).
   std::vector<std::int64_t> cum;
@@ -75,15 +117,40 @@ struct Window {
   /// Closed by TimeSeries::close_window with partial=true (run drained
   /// before the next full-width tick).
   bool partial = false;
-  /// Every scalar instrument (counters and gauges), keyed by metric name.
-  /// The JSONL writer emits only entries whose value changed this window;
-  /// the in-memory map stays complete so rule evaluation can read values
-  /// that happen to be flat.
-  std::map<std::string, SeriesPoint> series;
-  /// Histograms that recorded at least one observation this window.
-  std::map<std::string, WindowHistogram> hists;
+  /// Names and handles of every instrument; null for an empty window.
+  std::shared_ptr<const WindowLayout> layout;
+  /// Every scalar instrument (counters and gauges), aligned with
+  /// layout->scalars, so in name order. The JSONL writer emits only points
+  /// whose value changed this window; the vector stays complete so rule
+  /// evaluation can read values that happen to be flat.
+  std::vector<SeriesPoint> series;
+  /// Histograms that recorded at least one observation this window, in
+  /// name order.
+  std::vector<WindowHistogram> hists;
 
   double seconds() const { return sim::to_seconds(end - start); }
+  const std::string& series_name(std::size_t i) const {
+    return layout->scalars[i].name;
+  }
+  const std::string& hist_name(const WindowHistogram& h) const {
+    return layout->histograms[h.entry].name;
+  }
+  /// The named scalar point or histogram of this window; null when absent.
+  const SeriesPoint* find_series(std::string_view name) const;
+  const WindowHistogram* find_hist(std::string_view name) const;
+};
+
+/// Assembles a Window from named scalar points without a registry, for
+/// code that feeds reduce_window or SloWatchdog directly, such as tests.
+class WindowBuilder {
+ public:
+  WindowBuilder(std::uint64_t index, sim::SimTime start, sim::SimTime end);
+  WindowBuilder& series(std::string name, double value, double delta);
+  Window build() const;
+
+ private:
+  Window w_;
+  std::vector<std::pair<std::string, SeriesPoint>> points_;
 };
 
 /// Evaluates one reducer over one series of a closed window. Reducers:
@@ -115,7 +182,8 @@ class TimeSeries {
   /// Closes the window ending at `end` over the registry's current state
   /// and returns it. `end` must be strictly greater than the previous
   /// close. The returned reference is valid until the next close_window
-  /// call evicts it from the ring.
+  /// call evicts it from the ring (an evicted window's buffers are reused
+  /// for the next one).
   const Window& close_window(const Registry& registry, sim::SimTime end,
                              bool partial = false);
 
@@ -130,10 +198,17 @@ class TimeSeries {
   Config config_;
   std::uint64_t next_index_ = 0;
   sim::SimTime last_end_ = 0;
-  /// Previous close's cumulative state, keyed by metric name.
-  std::map<std::string, double> prev_scalar_;
-  std::map<std::string, std::vector<std::int64_t>> prev_hist_cum_;
-  std::map<std::string, double> prev_hist_sum_;
+  /// Recompiles layout_ when the registry gained instruments (or is a
+  /// different registry), carrying the previous-close arrays over by name.
+  void compile(const Registry& registry);
+
+  std::shared_ptr<const WindowLayout> layout_;
+  /// Previous close's cumulative state, aligned with layout_: one value per
+  /// scalar, one sum per histogram, and every histogram's cumulative
+  /// buckets back to back (WindowLayout::Hist::cum_offset).
+  std::vector<double> prev_scalar_;
+  std::vector<double> prev_hist_sum_;
+  std::vector<std::int64_t> prev_hist_cum_;
   std::deque<Window> ring_;
 };
 
@@ -144,8 +219,8 @@ class TimeSeries {
 /// is non-empty the window's tail-exemplar ids ("w{window}.{rank}", see
 /// obs::prof) ride along as an "exemplars" array — the full exemplar lines
 /// (strings.exemplar.v1) are appended at run end once the forensics ring is
-/// complete. Terminated with '\n'; deterministic field order (std::map
-/// iteration + fixed printf formats).
+/// complete. Terminated with '\n'; deterministic field order (name-ordered
+/// layout + fixed printf formats).
 void write_stream_line(std::ostream& os, const Window& w,
                        const std::string& alerts_json = std::string(),
                        const std::vector<std::string>& exemplar_ids = {});

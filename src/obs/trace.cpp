@@ -101,41 +101,48 @@ int Tracer::node_process(int node) {
   return add_process("node" + std::to_string(node), /*sort_index=*/node);
 }
 
-void Tracer::complete(int track, std::string name, sim::SimTime start,
+std::uint32_t Tracer::intern(std::string_view name) {
+  const auto it = name_ids_.find(name);
+  if (it != name_ids_.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(names_.size());
+  names_.emplace_back(name);
+  name_ids_.emplace(names_.back(), id);
+  return id;
+}
+
+void Tracer::append(EventType type, int track, std::string_view name,
+                    sim::SimTime ts, sim::SimTime dur, double value,
+                    std::vector<TraceArg>&& args) {
+  Event e;
+  e.type = type;
+  e.track = track;
+  e.name_id = intern(name);
+  e.arg_offset = static_cast<std::uint32_t>(args_.size());
+  e.arg_count = static_cast<std::uint32_t>(args.size());
+  e.ts = ts;
+  e.dur = dur;
+  e.value = value;
+  events_.push_back(e);
+  for (TraceArg& a : args) args_.push_back(std::move(a));
+}
+
+void Tracer::complete(int track, std::string_view name, sim::SimTime start,
                       sim::SimTime end, std::vector<TraceArg> args) {
   if (track < 0) return;
-  Event e;
-  e.type = EventType::kComplete;
-  e.track = track;
-  e.name = std::move(name);
-  e.ts = start;
-  e.dur = end > start ? end - start : 0;
-  e.args = std::move(args);
-  events_.push_back(std::move(e));
+  append(EventType::kComplete, track, name, start,
+         end > start ? end - start : 0, 0.0, std::move(args));
 }
 
-void Tracer::instant(int track, std::string name, sim::SimTime ts,
+void Tracer::instant(int track, std::string_view name, sim::SimTime ts,
                      std::vector<TraceArg> args) {
   if (track < 0) return;
-  Event e;
-  e.type = EventType::kInstant;
-  e.track = track;
-  e.name = std::move(name);
-  e.ts = ts;
-  e.args = std::move(args);
-  events_.push_back(std::move(e));
+  append(EventType::kInstant, track, name, ts, 0, 0.0, std::move(args));
 }
 
-void Tracer::counter(int track, std::string name, sim::SimTime ts,
+void Tracer::counter(int track, std::string_view name, sim::SimTime ts,
                      double value) {
   if (track < 0) return;
-  Event e;
-  e.type = EventType::kCounter;
-  e.track = track;
-  e.name = std::move(name);
-  e.ts = ts;
-  e.value = value;
-  events_.push_back(std::move(e));
+  append(EventType::kCounter, track, name, ts, 0, value, {});
 }
 
 void Tracer::register_gpu(int gid, int node, const std::string& label) {
@@ -150,11 +157,11 @@ void Tracer::register_gpu(int gid, int node, const std::string& label) {
   gpu_tracks_.emplace(gid, t);
 }
 
-void Tracer::gpu_op(int gid, const char* kind, sim::SimTime start,
+void Tracer::gpu_op(int gid, std::string_view kind, sim::SimTime start,
                     sim::SimTime end, std::vector<TraceArg> args) {
   auto it = gpu_tracks_.find(gid);
   if (it == gpu_tracks_.end()) return;
-  const bool is_kernel = kind != nullptr && kind[0] == 'K';
+  const bool is_kernel = !kind.empty() && kind[0] == 'K';
   complete(is_kernel ? it->second.compute : it->second.copy, kind, start, end,
            std::move(args));
 }
@@ -167,14 +174,14 @@ void Tracer::dispatcher_event(int gid, bool wake, sim::SimTime ts,
           std::move(args));
 }
 
-void Tracer::gpu_instant(int gid, const char* name, sim::SimTime ts,
+void Tracer::gpu_instant(int gid, std::string_view name, sim::SimTime ts,
                          std::vector<TraceArg> args) {
   auto it = gpu_tracks_.find(gid);
   if (it == gpu_tracks_.end()) return;
   instant(it->second.dispatch, name, ts, std::move(args));
 }
 
-void Tracer::gpu_counter(int gid, const char* name, sim::SimTime ts,
+void Tracer::gpu_counter(int gid, std::string_view name, sim::SimTime ts,
                          double value) {
   auto it = gpu_tracks_.find(gid);
   if (it == gpu_tracks_.end()) return;

@@ -1,7 +1,11 @@
 // Request-lifecycle and device-activity tracing (the observability layer's
 // event collector).
 //
-// A Tracer owns a flat list of timestamped events on named tracks. Tracks
+// A Tracer owns a flat list of timestamped events on named tracks. Events
+// are compact, trivially copyable records: the event name is an id into the
+// tracer's interned name table (Tracer::name) and the key/value annotations
+// live in one side array (Tracer::args), so the sampler's ~1 kHz counters
+// append 48 bytes each and allocate nothing. Tracks
 // follow the Chrome trace-event process/thread model so the export
 // (obs/export.hpp) renders directly in Perfetto / chrome://tracing:
 //
@@ -25,13 +29,20 @@
 // disabled run is bit-for-bit identical to an uninstrumented one.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <iterator>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "simcore/flat_map.hpp"
 #include "simcore/sim_time.hpp"
 
 namespace strings::obs {
@@ -107,16 +118,74 @@ struct OccupantStamp {
 
 class Tracer {
  public:
-  enum class EventType { kComplete, kInstant, kCounter };
+  enum class EventType : std::uint8_t { kComplete, kInstant, kCounter };
 
   struct Event {
     EventType type = EventType::kComplete;
     int track = -1;
-    std::string name;
+    std::uint32_t name_id = 0;     // see name()
+    std::uint32_t arg_offset = 0;  // first of arg_count entries; see args()
+    std::uint32_t arg_count = 0;
     sim::SimTime ts = 0;
     sim::SimTime dur = 0;      // kComplete only
     double value = 0.0;        // kCounter only
-    std::vector<TraceArg> args;
+  };
+  static_assert(std::is_trivially_copyable_v<Event>);
+
+  /// Append-only event store in fixed-size chunks. An append never moves
+  /// earlier events, so a long trace grows without the copy (and the
+  /// page faults on fresh memory) of a doubling vector.
+  class EventLog {
+   public:
+    class const_iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = Event;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const Event*;
+      using reference = const Event&;
+      const_iterator() = default;
+      const_iterator(const EventLog* log, std::size_t i) : log_(log), i_(i) {}
+      const Event& operator*() const { return (*log_)[i_]; }
+      const Event* operator->() const { return &(*log_)[i_]; }
+      const_iterator& operator++() {
+        ++i_;
+        return *this;
+      }
+      const_iterator operator++(int) {
+        const_iterator old = *this;
+        ++i_;
+        return old;
+      }
+      bool operator==(const const_iterator& o) const { return i_ == o.i_; }
+
+     private:
+      const EventLog* log_ = nullptr;
+      std::size_t i_ = 0;
+    };
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const Event& operator[](std::size_t i) const {
+      return chunks_[i >> kChunkShift][i & (kChunk - 1)];
+    }
+    const Event& back() const { return (*this)[size_ - 1]; }
+    const_iterator begin() const { return {this, 0}; }
+    const_iterator end() const { return {this, size_}; }
+    void push_back(const Event& e) {
+      if ((size_ & (kChunk - 1)) == 0) {
+        chunks_.emplace_back();
+        chunks_.back().reserve(kChunk);
+      }
+      chunks_.back().push_back(e);
+      ++size_;
+    }
+
+   private:
+    static constexpr std::size_t kChunkShift = 14;  // 16384 events, 768 KiB
+    static constexpr std::size_t kChunk = std::size_t{1} << kChunkShift;
+    std::vector<std::vector<Event>> chunks_;
+    std::size_t size_ = 0;
   };
 
   struct Track {
@@ -139,26 +208,28 @@ class Tracer {
   int node_process(int node);
 
   // ---- generic events ----
-  void complete(int track, std::string name, sim::SimTime start,
+  void complete(int track, std::string_view name, sim::SimTime start,
                 sim::SimTime end, std::vector<TraceArg> args = {});
-  void instant(int track, std::string name, sim::SimTime ts,
+  void instant(int track, std::string_view name, sim::SimTime ts,
                std::vector<TraceArg> args = {});
-  void counter(int track, std::string name, sim::SimTime ts, double value);
+  void counter(int track, std::string_view name, sim::SimTime ts,
+               double value);
 
   // ---- device tracks (registered by the testbed) ----
   /// Creates the compute/copy/dispatch tracks of GPU `gid` on `node`.
   void register_gpu(int gid, int node, const std::string& label);
   /// A KL/H2D/D2H execution span on the device's compute or copy track.
-  void gpu_op(int gid, const char* kind, sim::SimTime start, sim::SimTime end,
-              std::vector<TraceArg> args = {});
+  void gpu_op(int gid, std::string_view kind, sim::SimTime start,
+              sim::SimTime end, std::vector<TraceArg> args = {});
   /// A dispatcher wake/sleep instant on the device's dispatch track.
   void dispatcher_event(int gid, bool wake, sim::SimTime ts,
                         std::vector<TraceArg> args = {});
   /// A sampled counter (utilization, queue depth) on the dispatch track.
-  void gpu_counter(int gid, const char* name, sim::SimTime ts, double value);
+  void gpu_counter(int gid, std::string_view name, sim::SimTime ts,
+                   double value);
   /// A named instant on the device's dispatch track (scheduler milestones
   /// that are neither wake nor sleep, e.g. feedback-engine departures).
-  void gpu_instant(int gid, const char* name, sim::SimTime ts,
+  void gpu_instant(int gid, std::string_view name, sim::SimTime ts,
                    std::vector<TraceArg> args = {});
   bool has_gpu(int gid) const { return gpu_tracks_.count(gid) != 0; }
 
@@ -208,7 +279,13 @@ class Tracer {
   const std::map<std::string, std::string>& meta() const { return meta_; }
 
   // ---- introspection / export ----
-  const std::vector<Event>& events() const { return events_; }
+  const EventLog& events() const { return events_; }
+  /// The interned name behind Event::name_id.
+  const std::string& name(std::uint32_t id) const { return names_[id]; }
+  /// The annotations of `e`, in the order they were recorded.
+  std::span<const TraceArg> args(const Event& e) const {
+    return {args_.data() + e.arg_offset, e.arg_count};
+  }
   const std::vector<Track>& tracks() const { return tracks_; }
   const std::vector<ProcessInfo>& processes() const { return processes_; }
   const std::map<std::uint64_t, RequestTrace>& requests() const {
@@ -223,10 +300,19 @@ class Tracer {
   };
 
   RequestTrace& request_or_create(std::uint64_t app_id);
+  /// The id of `name` in names_, adding it on first sight.
+  std::uint32_t intern(std::string_view name);
+  void append(EventType type, int track, std::string_view name,
+              sim::SimTime ts, sim::SimTime dur, double value,
+              std::vector<TraceArg>&& args);
 
   std::vector<ProcessInfo> processes_;
   std::vector<Track> tracks_;
-  std::vector<Event> events_;
+  EventLog events_;
+  std::vector<TraceArg> args_;
+  /// Interned event names, by id, and the id of each name.
+  std::vector<std::string> names_;
+  sim::FlatMap<std::string, std::uint32_t, std::less<>> name_ids_;
   std::map<std::string, int> process_by_name_;
   std::map<int, GpuTracks> gpu_tracks_;
   std::map<std::pair<int, int>, int> link_tracks_;

@@ -300,23 +300,23 @@ void Testbed::register_metrics() {
     const std::string pre = "control_plane/agent" + std::to_string(n) + "/";
     core::MapperAgent* a = agents_[n].get();
     registry_.gauge_fn(pre + "select_rpcs",
-                       [a] { return double(a->stats().select_rpcs); });
+                       [a] { return double(a->counters().select_rpcs); });
     registry_.gauge_fn(pre + "sync_rpcs",
-                       [a] { return double(a->stats().sync_rpcs); });
+                       [a] { return double(a->counters().sync_rpcs); });
     registry_.gauge_fn(pre + "stale_hits",
-                       [a] { return double(a->stats().stale_hits); });
+                       [a] { return double(a->counters().stale_hits); });
     registry_.gauge_fn(pre + "deltas_applied",
-                       [a] { return double(a->stats().deltas_applied); });
+                       [a] { return double(a->counters().deltas_applied); });
     registry_.gauge_fn(pre + "delta_gap_syncs",
-                       [a] { return double(a->stats().delta_gap_syncs); });
+                       [a] { return double(a->counters().delta_gap_syncs); });
     registry_.gauge_fn(pre + "direct_calls",
-                       [a] { return double(a->stats().direct_calls); });
+                       [a] { return double(a->counters().direct_calls); });
     registry_.gauge_fn(pre + "oneway_msgs",
-                       [a] { return double(a->stats().oneway_msgs); });
+                       [a] { return double(a->counters().oneway_msgs); });
     registry_.gauge_fn(pre + "bytes_sent",
-                       [a] { return double(a->stats().bytes_sent); });
+                       [a] { return double(a->bytes_sent()); });
     registry_.gauge_fn(pre + "packets_sent",
-                       [a] { return double(a->stats().packets_sent); });
+                       [a] { return double(a->packets_sent()); });
     a->set_latency_histogram(&registry_.histogram(
         pre + "placement_latency_ms", obs::default_latency_buckets_ms()));
   }
@@ -447,7 +447,8 @@ void Testbed::register_sim_metrics() {
   });
   // Settable: updated by emit_window from the injected wall clock (bench
   // layer only); stays 0 — and therefore out of the stream — without one.
-  registry_.gauge("sim/wall_ms_per_window").set(0.0);
+  wall_gauge_ = &registry_.gauge("sim/wall_ms_per_window");
+  wall_gauge_->set(0.0);
 }
 
 void Testbed::attach_slo(std::vector<obs::SloRule> rules) {
@@ -493,14 +494,21 @@ void Testbed::emit_window(bool partial) {
           &daemon->scheduler(dev).policy());
       if (mqfq == nullptr) continue;
       for (const auto& [tenant, vt] : mqfq->vtimes()) {
-        auto& g = registry_.gauge("mqfq/" + tenant + "/vtime");
+        auto it = mqfq_vtime_gauges_.find(tenant);
+        if (it == mqfq_vtime_gauges_.end()) {
+          it = mqfq_vtime_gauges_
+                   .emplace(tenant,
+                            &registry_.gauge("mqfq/" + tenant + "/vtime"))
+                   .first;
+        }
+        obs::Gauge& g = *it->second;
         if (vt / 1e6 > g.value()) g.set(vt / 1e6);
       }
     }
   }
   if (wall_clock_ms_) {
     const double wall = wall_clock_ms_();
-    registry_.gauge("sim/wall_ms_per_window").set(wall - last_wall_ms_);
+    wall_gauge_->set(wall - last_wall_ms_);
     last_wall_ms_ = wall;
   }
   const obs::Window& w =

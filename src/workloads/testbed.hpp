@@ -16,6 +16,8 @@
 // supernode = NodeA + NodeB over Gigabit Ethernet.
 #pragma once
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -266,6 +268,11 @@ class Testbed final : public frontend::SchedulerDirectory {
   StreamSink stream_sink_;
   std::function<double()> wall_clock_ms_;
   double last_wall_ms_ = 0.0;
+  /// Streaming handles resolved once: sim/wall_ms_per_window, and each
+  /// tenant's mqfq/<tenant>/vtime gauge (registered lazily, on the window
+  /// its tenant first shows up in).
+  obs::Gauge* wall_gauge_ = nullptr;
+  std::map<std::string, obs::Gauge*, std::less<>> mqfq_vtime_gauges_;
   /// Trace track for SLO alert instants, created on first alert.
   int slo_track_ = -1;
   std::vector<std::unique_ptr<backend::BackendDaemon>> daemons_;

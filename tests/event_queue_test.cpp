@@ -91,7 +91,8 @@ TEST(CalendarQueue, RandomizedSchedulesMatchReferenceHeap) {
         const SimTime gap = mode < 5   ? dense(rng)
                             : mode < 9 ? steady(rng)
                                        : sparse(rng);
-        push_both(q, ref, floor + gap, seq++, /*weak=*/(seq % 7) == 0);
+        const std::uint64_t s = seq++;
+        push_both(q, ref, floor + gap, s, /*weak=*/(s % 7) == 0);
       } else {
         EXPECT_EQ(ref.top().time, q.min_time());
         floor = ref.top().time;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
@@ -116,7 +118,7 @@ TEST(Tracer, GpuOpRoutesKernelsAndCopies) {
   ASSERT_EQ(t.events().size(), 3u);
   const auto& kl = t.events()[0];
   const auto& h2d = t.events()[1];
-  EXPECT_EQ(kl.name, "KL");
+  EXPECT_EQ(t.name(kl.name_id), "KL");
   EXPECT_NE(kl.track, h2d.track);  // compute vs copy track
   EXPECT_EQ(t.events()[2].track, h2d.track);
   EXPECT_EQ(kl.dur, sim::usec(20));
@@ -132,8 +134,8 @@ TEST(Tracer, DispatcherEventsAreInstants) {
   t.dispatcher_event(0, /*wake=*/false, sim::usec(9));
   ASSERT_EQ(t.events().size(), 2u);
   EXPECT_EQ(t.events()[0].type, Tracer::EventType::kInstant);
-  EXPECT_EQ(t.events()[0].name, "dispatch.wake");
-  EXPECT_EQ(t.events()[1].name, "dispatch.sleep");
+  EXPECT_EQ(t.name(t.events()[0].name_id), "dispatch.wake");
+  EXPECT_EQ(t.name(t.events()[1].name_id), "dispatch.sleep");
 }
 
 TEST(Tracer, LinkTracksLiveUnderNetworkProcess) {
@@ -164,8 +166,65 @@ TEST(Tracer, RequestLifecycleRecordsPhases) {
   ASSERT_FALSE(t.events().empty());
   const auto& umbrella = t.events().back();
   EXPECT_EQ(umbrella.track, r.track);
-  EXPECT_EQ(umbrella.name, "request MC");
+  EXPECT_EQ(t.name(umbrella.name_id), "request MC");
   EXPECT_EQ(umbrella.dur, sim::usec(8));
+}
+
+TEST(Tracer, InternedNamesAndArgsRoundTripThroughExport) {
+  Tracer t;
+  const int pid = t.add_process("node0");
+  const int a = t.add_track(pid, "a");
+  const int b = t.add_track(pid, "b");
+  std::string dynamic = "request MC";
+  t.complete(a, dynamic, sim::usec(1), sim::usec(3) + 250,
+             {{"tenant", "acme \"x\""}, {"steps", "issue@1000"}});
+  dynamic = "overwritten";  // the tracer keeps its own copy of the name
+  t.counter(b, "util", sim::usec(2), 0.25);
+  t.instant(b, std::string_view("dispatch.wake"), sim::usec(2),
+            {{"app", "MC#7"}});
+  t.counter(b, "util", sim::usec(3), 1.0);
+  t.complete(a, "request MC", sim::usec(4), sim::usec(5));
+
+  const auto& ev = t.events();
+  ASSERT_EQ(ev.size(), 5u);
+  EXPECT_EQ(ev[0].name_id, ev[4].name_id);  // one table entry per name
+  EXPECT_EQ(ev[1].name_id, ev[3].name_id);
+  EXPECT_NE(ev[0].name_id, ev[1].name_id);
+  EXPECT_EQ(t.name(ev[0].name_id), "request MC");
+  EXPECT_EQ(t.name(ev[2].name_id), "dispatch.wake");
+  ASSERT_EQ(t.args(ev[0]).size(), 2u);
+  EXPECT_EQ(t.args(ev[0])[0].key, "tenant");
+  EXPECT_EQ(t.args(ev[0])[1].value, "issue@1000");
+  ASSERT_EQ(t.args(ev[2]).size(), 1u);
+  EXPECT_EQ(t.args(ev[2])[0].value, "MC#7");
+  EXPECT_TRUE(t.args(ev[1]).empty());
+  EXPECT_TRUE(t.args(ev[4]).empty());
+
+  std::ostringstream os;
+  write_chrome_trace(t, os);
+  EXPECT_EQ(
+      os.str(),
+      "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+      "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,\"tid\":0,"
+      "\"args\":{\"name\":\"node0\"}},\n"
+      "{\"ph\":\"M\",\"name\":\"process_sort_index\",\"pid\":0,\"tid\":0,"
+      "\"args\":{\"sort_index\":0}},\n"
+      "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":0,"
+      "\"args\":{\"name\":\"a\"}},\n"
+      "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":1,"
+      "\"args\":{\"name\":\"b\"}},\n"
+      "{\"ph\":\"X\",\"name\":\"request MC\",\"pid\":0,\"tid\":0,"
+      "\"ts\":1.000,\"dur\":2.250,\"args\":{\"tenant\":\"acme \\\"x\\\"\","
+      "\"steps\":\"issue@1000\"}},\n"
+      "{\"ph\":\"C\",\"name\":\"util\",\"pid\":0,\"tid\":1,\"ts\":2.000,"
+      "\"args\":{\"value\":0.25}},\n"
+      "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"dispatch.wake\",\"pid\":0,"
+      "\"tid\":1,\"ts\":2.000,\"args\":{\"app\":\"MC#7\"}},\n"
+      "{\"ph\":\"C\",\"name\":\"util\",\"pid\":0,\"tid\":1,\"ts\":3.000,"
+      "\"args\":{\"value\":1}},\n"
+      "{\"ph\":\"X\",\"name\":\"request MC\",\"pid\":0,\"tid\":0,"
+      "\"ts\":4.000,\"dur\":1.000,\"args\":{}}\n"
+      "]}\n");
 }
 
 TEST(Tracer, UnknownAppIdCreatesRecordLazily) {

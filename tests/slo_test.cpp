@@ -84,12 +84,10 @@ TEST(SloRules, WildcardMatchesFullSegmentsOnly) {
 // One synthetic window with a single scalar series.
 Window scalar_window(std::uint64_t index, const std::string& name,
                      double value, double delta) {
-  Window w;
-  w.index = index;
-  w.start = sim::msec(10) * static_cast<sim::SimTime>(index);
-  w.end = w.start + sim::msec(10);
-  w.series[name] = SeriesPoint{value, delta};
-  return w;
+  const sim::SimTime start = sim::msec(10) * static_cast<sim::SimTime>(index);
+  return WindowBuilder(index, start, start + sim::msec(10))
+      .series(name, value, delta)
+      .build();
 }
 
 TEST(SloWatchdog, WarnFailLadderAndCounts) {
@@ -185,12 +183,11 @@ TEST(SloWatchdog, LtOperatorAndWildcardFanOut) {
   r.has_fail = true;
   SloWatchdog dog({r});
 
-  Window w;
-  w.index = 0;
-  w.end = sim::msec(10);
-  w.series["tenant/a/completed"] = SeriesPoint{10.0, 1.0};  // too slow
-  w.series["tenant/b/completed"] = SeriesPoint{50.0, 5.0};  // healthy
-  w.series["tenant/a/errors"] = SeriesPoint{0.0, 0.0};      // not matched
+  const Window w = WindowBuilder(0, 0, sim::msec(10))
+                       .series("tenant/a/completed", 10.0, 1.0)  // too slow
+                       .series("tenant/b/completed", 50.0, 5.0)  // healthy
+                       .series("tenant/a/errors", 0.0, 0.0)      // not matched
+                       .build();
   auto alerts = dog.evaluate(w);
   ASSERT_EQ(alerts.size(), 2u);  // fail + hard (burn_windows = 1)
   EXPECT_EQ(alerts[0].series, "tenant/a/completed");

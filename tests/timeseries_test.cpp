@@ -1,12 +1,19 @@
 // obs::TimeSeries — the windowed-aggregation contract: tumbling windows
 // over the cumulative Registry, delta/rate reducers, window-local
 // histogram quantiles that agree with the whole-run Registry math, a
-// bounded retention ring, and a deterministic JSONL rendering.
+// bounded retention ring, and a deterministic JSONL rendering. The handle
+// layout TimeSeries closes over is checked against a reference close built
+// from Registry::collect() (the algorithm it replaced).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <map>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/registry.hpp"
 #include "obs/timeseries.hpp"
@@ -41,15 +48,15 @@ TEST(TimeSeries, SingleSampleCounterDeltaAndRate) {
   TimeSeries ts(cfg(sim::msec(10)));
   reg.counter("a/b").inc(3);
   const Window& w1 = ts.close_window(reg, sim::msec(10));
-  ASSERT_EQ(w1.series.count("a/b"), 1u);
-  EXPECT_DOUBLE_EQ(w1.series.at("a/b").value, 3.0);
+  ASSERT_NE(w1.find_series("a/b"), nullptr);
+  EXPECT_DOUBLE_EQ(w1.find_series("a/b")->value, 3.0);
   // First sighting: the whole cumulative value is this window's delta.
-  EXPECT_DOUBLE_EQ(w1.series.at("a/b").delta, 3.0);
+  EXPECT_DOUBLE_EQ(w1.find_series("a/b")->delta, 3.0);
 
   reg.counter("a/b").inc(2);
   const Window& w2 = ts.close_window(reg, sim::msec(20));
-  EXPECT_DOUBLE_EQ(w2.series.at("a/b").value, 5.0);
-  EXPECT_DOUBLE_EQ(w2.series.at("a/b").delta, 2.0);
+  EXPECT_DOUBLE_EQ(w2.find_series("a/b")->value, 5.0);
+  EXPECT_DOUBLE_EQ(w2.find_series("a/b")->delta, 2.0);
 
   // Reducers over the closed window.
   EXPECT_DOUBLE_EQ(*reduce_window(w2, "a/b", "value"), 5.0);
@@ -66,9 +73,9 @@ TEST(TimeSeries, FlatSeriesStaysVisibleWithZeroDelta) {
   ts.close_window(reg, sim::msec(10));
   const Window& w2 = ts.close_window(reg, sim::msec(20));
   // Rule evaluation must still see the series even when nothing changed.
-  ASSERT_EQ(w2.series.count("flat"), 1u);
-  EXPECT_DOUBLE_EQ(w2.series.at("flat").value, 7.0);
-  EXPECT_DOUBLE_EQ(w2.series.at("flat").delta, 0.0);
+  ASSERT_NE(w2.find_series("flat"), nullptr);
+  EXPECT_DOUBLE_EQ(w2.find_series("flat")->value, 7.0);
+  EXPECT_DOUBLE_EQ(w2.find_series("flat")->delta, 0.0);
 }
 
 TEST(TimeSeries, PartialWindowAtRunEnd) {
@@ -82,7 +89,7 @@ TEST(TimeSeries, PartialWindowAtRunEnd) {
   EXPECT_TRUE(w.partial);
   EXPECT_EQ(w.start, sim::msec(10));
   EXPECT_EQ(w.end, sim::msec(13));
-  EXPECT_DOUBLE_EQ(w.series.at("c").delta, 1.0);
+  EXPECT_DOUBLE_EQ(w.find_series("c")->delta, 1.0);
   // Rate uses the actual (short) window span, not the configured width.
   EXPECT_DOUBLE_EQ(*reduce_window(w, "c", "rate"), 1.0 / 0.003);
 }
@@ -104,8 +111,8 @@ TEST(TimeSeries, WindowQuantilesMatchRegistryHistogramMath) {
 
   TimeSeries ts(cfg(sim::msec(10)));
   const Window& w = ts.close_window(reg, sim::msec(10));
-  ASSERT_EQ(w.hists.count("lat"), 1u);
-  const WindowHistogram& wh = w.hists.at("lat");
+  ASSERT_NE(w.find_hist("lat"), nullptr);
+  const WindowHistogram& wh = *w.find_hist("lat");
   EXPECT_EQ(wh.count, h.count());
   EXPECT_DOUBLE_EQ(wh.sum, h.sum());
   for (double q : {0.5, 0.95, 0.99}) {
@@ -128,7 +135,7 @@ TEST(TimeSeries, HistogramWindowsAreDeltas) {
 
   h.observe(5.0);  // the only observation of window 2
   const Window& w2 = ts.close_window(reg, sim::msec(20));
-  const WindowHistogram& wh = w2.hists.at("lat");
+  const WindowHistogram& wh = *w2.find_hist("lat");
   EXPECT_EQ(wh.count, 1);
   EXPECT_DOUBLE_EQ(wh.sum, 5.0);
   ASSERT_EQ(wh.cum.size(), 4u);  // 3 finite bounds + inf
@@ -138,7 +145,7 @@ TEST(TimeSeries, HistogramWindowsAreDeltas) {
 
   // A quiet histogram disappears from subsequent windows entirely.
   const Window& w3 = ts.close_window(reg, sim::msec(30));
-  EXPECT_EQ(w3.hists.count("lat"), 0u);
+  EXPECT_EQ(w3.find_hist("lat"), nullptr);
   EXPECT_FALSE(reduce_window(w3, "lat", "p99").has_value());
 }
 
@@ -202,6 +209,180 @@ TEST(TimeSeries, NonFiniteGaugeRendersAsNull) {
   write_stream_line(os, ts.close_window(reg, sim::msec(10)));
   EXPECT_EQ(os.str().find("nan"), std::string::npos);
   EXPECT_NE(os.str().find("null"), std::string::npos);
+}
+
+// ---- the collect()-based reference close ----
+
+struct RefHist {
+  std::vector<double> bounds;
+  std::vector<std::int64_t> cum;
+  std::int64_t count = 0;
+  double sum = 0.0;
+};
+
+struct RefWindow {
+  std::map<std::string, SeriesPoint> series;
+  std::map<std::string, RefHist> hists;
+};
+
+/// Closes windows the way TimeSeries did before it compiled a handle layout:
+/// flatten the registry with collect(), parse the le_<bound> fields back,
+/// and diff against name-keyed maps of the previous close.
+class RefSeries {
+ public:
+  RefWindow close(const Registry& reg) {
+    RefWindow w;
+    const auto samples = reg.collect();
+    for (std::size_t i = 0; i < samples.size();) {
+      const Registry::Sample& s = samples[i];
+      if (s.field == "value") {
+        const auto prev = prev_scalar_.find(s.metric);
+        const double delta =
+            prev == prev_scalar_.end() ? s.value : s.value - prev->second;
+        prev_scalar_[s.metric] = s.value;
+        w.series.emplace(s.metric, SeriesPoint{s.value, delta});
+        ++i;
+        continue;
+      }
+      double sum = 0.0;
+      RefHist h;
+      std::vector<std::int64_t> cum;
+      for (; i < samples.size() && samples[i].metric == s.metric; ++i) {
+        const Registry::Sample& f = samples[i];
+        if (f.field == "sum") {
+          sum = f.value;
+        } else if (f.field.rfind("le_", 0) == 0) {
+          if (f.field != "le_inf") {
+            h.bounds.push_back(std::strtod(f.field.c_str() + 3, nullptr));
+          }
+          cum.push_back(static_cast<std::int64_t>(f.value));
+        }
+      }
+      auto& prev_cum = prev_cum_[s.metric];
+      h.cum.resize(cum.size());
+      for (std::size_t b = 0; b < cum.size(); ++b) {
+        h.cum[b] = cum[b] - (b < prev_cum.size() ? prev_cum[b] : 0);
+      }
+      h.count = h.cum.back();
+      h.sum = sum - prev_sum_[s.metric];
+      prev_cum = cum;
+      prev_sum_[s.metric] = sum;
+      if (h.count > 0) w.hists.emplace(s.metric, std::move(h));
+    }
+    return w;
+  }
+
+ private:
+  std::map<std::string, double> prev_scalar_;
+  std::map<std::string, std::vector<std::int64_t>> prev_cum_;
+  std::map<std::string, double> prev_sum_;
+};
+
+void expect_matches_oracle(const Window& w, const RefWindow& r) {
+  ASSERT_EQ(w.series.size(), r.series.size());
+  std::size_t i = 0;
+  for (const auto& [name, p] : r.series) {
+    EXPECT_EQ(w.series_name(i), name);
+    EXPECT_EQ(w.series[i].value, p.value) << name;
+    EXPECT_EQ(w.series[i].delta, p.delta) << name;
+    EXPECT_EQ(w.find_series(name), &w.series[i]) << name;
+    ++i;
+  }
+  ASSERT_EQ(w.hists.size(), r.hists.size());
+  i = 0;
+  for (const auto& [name, h] : r.hists) {
+    const WindowHistogram& got = w.hists[i++];
+    EXPECT_EQ(w.hist_name(got), name);
+    EXPECT_EQ(w.find_hist(name), &got) << name;
+    ASSERT_NE(got.bounds, nullptr);
+    EXPECT_EQ(*got.bounds, h.bounds) << name;
+    EXPECT_EQ(got.cum, h.cum) << name;
+    EXPECT_EQ(got.count, h.count) << name;
+    EXPECT_EQ(got.sum, h.sum) << name;
+    for (double q : {0.5, 0.95, 0.99}) {
+      EXPECT_EQ(got.quantile(q), histogram_quantile(h.bounds, h.cum, q))
+          << name << " q=" << q;
+    }
+  }
+}
+
+TEST(TimeSeries, HandleLayoutMatchesCollectOracle) {
+  // Bounds that print exactly under %g, so the oracle's parsed-back bounds
+  // equal the registry's own.
+  const std::vector<double> kBounds = {0.5, 1, 2.5, 5, 10, 25, 50, 100};
+  const char* const kTops[] = {"node0", "tenant", "sim", "mqfq"};
+  const char* const kLeaves[] = {"wakes", "vtime", "response_ms", "bytes"};
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    const auto pick = [&rng](std::size_t n) {
+      return static_cast<std::size_t>(rng() % n);
+    };
+    Registry reg;
+    std::set<std::string> names;
+    const auto fresh_name = [&] {
+      std::string n;
+      do {
+        n = std::string(kTops[pick(4)]) + "/" + std::to_string(pick(40)) +
+            "/" + kLeaves[pick(4)];
+      } while (!names.insert(n).second);
+      return n;
+    };
+    std::vector<Counter*> counters;
+    std::vector<std::string> gauges;
+    std::vector<Histogram*> hists;
+    // A small ring also exercises reuse of evicted windows' buffers.
+    TimeSeries ts(cfg(sim::msec(10), /*retain=*/1 + pick(3)));
+    RefSeries ref;
+    for (int win = 1; win <= 60; ++win) {
+      for (std::size_t step = pick(14); step > 0; --step) {
+        switch (pick(9)) {
+          case 0:
+            counters.push_back(&reg.counter(fresh_name()));
+            break;
+          case 1:
+            gauges.push_back(fresh_name());
+            reg.gauge(gauges.back()).set(double(pick(64)));
+            break;
+          case 2: {
+            std::vector<double> bounds;
+            for (double b : kBounds) {
+              if (pick(2) == 0) bounds.push_back(b);
+            }
+            hists.push_back(&reg.histogram(fresh_name(), bounds));
+            break;
+          }
+          case 3:
+          case 4:
+            if (!counters.empty()) {
+              counters[pick(counters.size())]->inc(
+                  static_cast<std::int64_t>(pick(5)));
+            }
+            break;
+          case 5:
+            if (!gauges.empty()) {
+              reg.gauge(gauges[pick(gauges.size())])
+                  .set(double(pick(400)) / 8.0 - 10.0);
+            }
+            break;
+          case 6:
+            if (!gauges.empty()) {  // rebinding keeps the gauge's handle
+              const double v = double(pick(100)) / 4.0;
+              reg.gauge_fn(gauges[pick(gauges.size())], [v] { return v; });
+            }
+            break;
+          default:
+            if (!hists.empty()) {
+              hists[pick(hists.size())]->observe(double(pick(2400)) / 16.0);
+            }
+            break;
+        }
+      }
+      const Window& w = ts.close_window(reg, sim::msec(10) * win);
+      ASSERT_NO_FATAL_FAILURE(expect_matches_oracle(w, ref.close(reg)))
+          << "window " << win;
+    }
+  }
 }
 
 }  // namespace

@@ -104,11 +104,12 @@ TEST(TraceExport, DeviceAndNetworkTracksPopulated) {
   EXPECT_NE(track_names.find("dispatch"), std::string::npos);
   EXPECT_NE(track_names.find("n0->n1"), std::string::npos);
   for (const auto& e : tracer->events()) {
-    if (e.name == "KL") ++kernels;
-    if (e.name == "H2D" || e.name == "D2H") ++copies;
-    if (e.name == "dispatch.wake") ++wakes;
-    if (e.name == "util") ++samples;
-    if (e.name.rfind("strings.", 0) == 0 &&
+    const std::string& name = tracer->name(e.name_id);
+    if (name == "KL") ++kernels;
+    if (name == "H2D" || name == "D2H") ++copies;
+    if (name == "dispatch.wake") ++wakes;
+    if (name == "util") ++samples;
+    if (name.rfind("strings.", 0) == 0 &&
         e.type == obs::Tracer::EventType::kComplete) {
       ++net_spans;
     }
