@@ -69,12 +69,12 @@ std::vector<Deployment> deployments() {
   return out;
 }
 
-std::vector<StreamSpec> make_streams(int nodes, int requests) {
-  std::vector<StreamSpec> streams;
+std::vector<workloads::ArrivalConfig> make_streams(int nodes, int requests) {
+  std::vector<workloads::ArrivalConfig> streams;
   const char* apps[] = {"MC", "BS", "DC"};
   std::uint32_t seed = 3;
   for (int i = 0; i < 3; ++i) {
-    StreamSpec s;
+    workloads::ArrivalConfig s;
     s.app = apps[i];
     s.origin = i % nodes;
     s.requests = requests;
@@ -95,13 +95,13 @@ void run_topology(const char* name,
 
   // CUDA-runtime baseline: static provisioning, all requests collide on the
   // app's programmed device (the denominator of eq. 2).
-  RunConfig base;
-  base.label = "CUDA";
-  base.mode = workloads::Mode::kCudaBaseline;
-  base.nodes = nodes;
+  workloads::ScenarioConfig base;
+  base.testbed.mode = workloads::Mode::kCudaBaseline;
+  base.testbed.nodes = nodes;
+  base.streams = streams;
   std::vector<double> base_times;
   {
-    const RunOutput out = run_scenario(base, streams);
+    const auto out = run("CUDA", base);
     for (std::size_t i = 0; i < streams.size(); ++i) {
       base_times.push_back(mean_response(out, i));
     }
@@ -110,17 +110,17 @@ void run_topology(const char* name,
   metrics::Table speedup_table({"Deployment", "weighted speedup"});
   std::vector<metrics::ControlPlaneSummary> summaries;
   for (const auto& d : deployments()) {
-    RunConfig cfg;
-    cfg.label = d.label;
-    cfg.mode = workloads::Mode::kStrings;
-    cfg.nodes = nodes;
-    cfg.balancing = "GWtMin";
-    cfg.feedback = "MBF";
-    cfg.control_plane = d.cp;
+    workloads::ScenarioConfig cfg;
+    cfg.testbed.mode = workloads::Mode::kStrings;
+    cfg.testbed.nodes = nodes;
+    cfg.testbed.balancing_policy = "GWtMin";
+    cfg.testbed.feedback_policy = "MBF";
+    cfg.testbed.control_plane = d.cp;
     // The stale row pays for its control traffic on the shared wires.
-    cfg.shared_network =
+    cfg.testbed.shared_network =
         d.cp.transport == core::ControlTransport::kDataPlane;
-    const RunOutput out = run_scenario(cfg, streams);
+    cfg.streams = streams;
+    const auto out = run(d.label, cfg);
     std::vector<double> times;
     for (std::size_t i = 0; i < streams.size(); ++i) {
       times.push_back(mean_response(out, i));
@@ -148,25 +148,22 @@ void run_topology(const char* name,
 // must cut sync round-trips by at least 5x.
 int run_push_vs_pull_check(const Options& opt) {
   const auto nodes = workloads::supernode();
-  std::vector<StreamSpec> streams = make_streams(static_cast<int>(nodes.size()),
-                                                 opt.quick ? 6 : 10);
-  for (auto& s : streams) s.lambda_scale = 0.15;  // bursty arrivals
+  workloads::ScenarioConfig pull;
+  pull.testbed.mode = workloads::Mode::kStrings;
+  pull.testbed.nodes = nodes;
+  pull.testbed.balancing_policy = "GWtMin";
+  pull.testbed.feedback_policy = "MBF";
+  pull.testbed.control_plane.placement = core::PlacementMode::kDistributed;
+  pull.testbed.control_plane.refresh_epoch = 0;
+  pull.streams = make_streams(static_cast<int>(nodes.size()),
+                              opt.quick ? 6 : 10);
+  for (auto& s : pull.streams) s.lambda_scale = 0.15;  // bursty arrivals
 
-  RunConfig pull;
-  pull.label = "push-check-pull-fresh";
-  pull.mode = workloads::Mode::kStrings;
-  pull.nodes = nodes;
-  pull.balancing = "GWtMin";
-  pull.feedback = "MBF";
-  pull.control_plane.placement = core::PlacementMode::kDistributed;
-  pull.control_plane.refresh_epoch = 0;
+  workloads::ScenarioConfig push = pull;
+  push.testbed.control_plane.sync_mode = core::SyncMode::kPush;
 
-  RunConfig push = pull;
-  push.label = "push-check-push";
-  push.control_plane.sync_mode = core::SyncMode::kPush;
-
-  const RunOutput a = run_scenario(pull, streams);
-  const RunOutput b = run_scenario(push, streams);
+  const auto a = run("push-check-pull-fresh", pull);
+  const auto b = run("push-check-push", push);
 
   std::printf("-- push vs pull(fresh), bursty supernode --\n");
   std::printf("pull: sync=%lld deltas=%lld   push: sync=%lld deltas=%lld "

@@ -14,14 +14,14 @@ int main(int argc, char** argv) {
   print_header("ablation_dispatcher_epoch",
                "dispatcher epoch sweep (TFS on one shared GPU)", opt);
 
-  StreamSpec a;
+  workloads::ArrivalConfig a;
   a.app = "MC";
   a.requests = opt.quick ? 8 : 14;
   a.lambda_scale = 0.2;
   a.server_threads = 4;
   a.seed = 4;
   a.tenant = "tenantA";
-  StreamSpec b = a;
+  workloads::ArrivalConfig b = a;
   b.app = "BS";
   b.requests = opt.quick ? 8 : 14;
   b.seed = 7;
@@ -31,30 +31,18 @@ int main(int argc, char** argv) {
   for (const sim::SimTime epoch :
        {sim::msec(1), sim::msec(5), sim::msec(10), sim::msec(50),
         sim::msec(200)}) {
-    sim::Simulation sim;
-    workloads::TestbedConfig tcfg;
-    tcfg.mode = workloads::Mode::kStrings;
-    tcfg.nodes = {{gpu::tesla_c2050()}};
-    tcfg.device_policy = "TFS";
-    tcfg.sched_epoch = epoch;
-    workloads::Testbed bed(sim, tcfg);
-    std::vector<workloads::ArrivalConfig> arrivals;
-    for (const auto& s : {a, b}) {
-      workloads::ArrivalConfig ac;
-      ac.app = s.app;
-      ac.requests = s.requests;
-      ac.lambda_scale = s.lambda_scale;
-      ac.server_threads = s.server_threads;
-      ac.seed = s.seed;
-      ac.tenant = s.tenant;
-      arrivals.push_back(ac);
-    }
-    const auto stats = workloads::run_streams(bed, arrivals);
+    workloads::ScenarioConfig cfg;
+    cfg.testbed.mode = workloads::Mode::kStrings;
+    cfg.testbed.nodes = {{gpu::tesla_c2050()}};
+    cfg.testbed.device_policy = "TFS";
+    cfg.testbed.sched_epoch = epoch;
+    cfg.streams = {a, b};
+    const auto out = workloads::run_scenario(cfg);
     const double j = metrics::jain_fairness(
-        {bed.attained_service_s("tenantA"), bed.attained_service_s("tenantB")});
+        {out.tenant_service_s.at("tenantA"), out.tenant_service_s.at("tenantB")});
     table.add_row({metrics::Table::fmt(sim::to_millis(epoch), 0) + "ms",
-                   metrics::Table::fmt(stats[0].mean_response_s()),
-                   metrics::Table::fmt(stats[1].mean_response_s()),
+                   metrics::Table::fmt(mean_response(out, 0)),
+                   metrics::Table::fmt(mean_response(out, 1)),
                    metrics::Table::fmt(100 * j, 1) + "%"});
   }
   table.print();

@@ -13,8 +13,6 @@
 #include <unistd.h>
 #endif
 
-#include "obs/export.hpp"
-
 namespace strings::bench {
 
 Options Options::parse(int argc, char** argv) {
@@ -46,27 +44,6 @@ std::string sanitize_label(const std::string& label) {
     }
   }
   return out;
-}
-
-// Writes <dir>/<label>.trace.json and <dir>/<label>.metrics.csv when the
-// STRINGS_TRACE_DIR toggle is active.
-void export_observability(const RunConfig& cfg, workloads::Testbed& bed) {
-  const char* dir = trace_dir();
-  if (dir == nullptr) return;
-  // Pointing STRINGS_TRACE_DIR at a fresh path is the common case in CI;
-  // create it instead of warning once per run.
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  const std::string base = std::string(dir) + "/" + sanitize_label(cfg.label);
-  const std::string trace_path = base + ".trace.json";
-  if (bed.tracer() != nullptr &&
-      !obs::write_chrome_trace_file(*bed.tracer(), trace_path)) {
-    std::fprintf(stderr, "warning: cannot write %s\n", trace_path.c_str());
-  }
-  const std::string metrics_path = base + ".metrics.csv";
-  if (!obs::write_metrics_csv_file(bed.metrics_registry(), metrics_path)) {
-    std::fprintf(stderr, "warning: cannot write %s\n", metrics_path.c_str());
-  }
 }
 
 // --- BENCH_report.json recorder (the CI perf-gate input) -----------------
@@ -104,7 +81,7 @@ std::string report_binary_name() {
 }
 
 // Keys an entry "<binary>/<label>[#k]", stores it, and arms the at-exit
-// flush. Shared by run_scenario recording and record_bench_entry.
+// flush. Shared by run() and record_bench_entry.
 void store_report_entry(const std::string& label, const std::string& value) {
   static std::map<std::string, int> key_counts;
   std::string key = report_binary_name() + "/" + sanitize_label(label);
@@ -118,9 +95,10 @@ void store_report_entry(const std::string& label, const std::string& value) {
   (void)registered;
 }
 
-void record_bench_report(const RunConfig& cfg,
-                         const std::vector<StreamSpec>& streams,
-                         const RunOutput& out, double wall_s) {
+void record_bench_report(const std::string& label,
+                         const workloads::ScenarioConfig& cfg,
+                         const workloads::ScenarioRunResult& out,
+                         double wall_s) {
   if (bench_report_path() == nullptr) return;
   std::vector<double> responses;
   for (const auto& st : out.streams) {
@@ -132,7 +110,7 @@ void record_bench_report(const RunConfig& cfg,
   for (const auto& [tenant, service] : out.tenant_service_s) {
     attained.push_back(service);
     double weight = 1.0;
-    for (const auto& s : streams) {
+    for (const auto& s : cfg.streams) {
       if (s.tenant == tenant) {
         weight = s.tenant_weight;
         break;
@@ -148,107 +126,27 @@ void record_bench_report(const RunConfig& cfg,
                 metrics::percentile(responses, 50.0),
                 metrics::percentile(responses, 99.0),
                 metrics::jain_fairness(attained, shares), wall_s);
-  store_report_entry(cfg.label, value);
-}
-
-std::vector<workloads::ArrivalConfig> to_arrivals(
-    const std::vector<StreamSpec>& streams) {
-  std::vector<workloads::ArrivalConfig> arrivals;
-  for (const auto& s : streams) {
-    workloads::ArrivalConfig a;
-    a.app = s.app;
-    a.origin = s.origin;
-    a.requests = s.requests;
-    a.lambda_scale = s.lambda_scale;
-    a.seed = s.seed;
-    a.tenant = s.tenant;
-    a.tenant_weight = s.tenant_weight;
-    a.server_threads = s.server_threads;
-    arrivals.push_back(std::move(a));
-  }
-  return arrivals;
-}
-
-workloads::TestbedConfig to_testbed_config(const RunConfig& cfg) {
-  workloads::TestbedConfig tcfg;
-  tcfg.mode = cfg.mode;
-  tcfg.nodes = cfg.nodes.empty() ? workloads::small_server() : cfg.nodes;
-  tcfg.balancing_policy = cfg.balancing;
-  tcfg.feedback_policy = cfg.feedback;
-  tcfg.device_policy = cfg.device_policy;
-  tcfg.trace_devices = cfg.trace_devices;
-  tcfg.convert_sync_to_async = cfg.convert_sync_to_async;
-  tcfg.convert_device_sync = cfg.convert_device_sync;
-  tcfg.nonblocking_rpc = cfg.nonblocking_rpc;
-  tcfg.use_device_scheduler = cfg.use_device_scheduler;
-  tcfg.remote_link = cfg.remote_link;
-  tcfg.shared_network = cfg.shared_network;
-  tcfg.control_plane = cfg.control_plane;
-  tcfg.trace = trace_dir() != nullptr;
-  return tcfg;
-}
-
-void collect(const RunConfig& cfg, workloads::Testbed& bed,
-             const std::vector<StreamSpec>& streams, RunOutput& out) {
-  out.control_plane = bed.control_plane_stats();
-  for (const auto& s : streams) {
-    out.tenant_service_s[s.tenant] = bed.attained_service_s(s.tenant);
-  }
-  for (const auto& st : out.streams) {
-    out.makespan = std::max(out.makespan, st.makespan);
-  }
-  for (core::Gid g = 0; g < bed.gpu_count(); ++g) {
-    out.device_counters.push_back(bed.device(g).counters());
-    if (cfg.trace_devices && out.makespan > 0) {
-      const auto& tr = bed.device(g).tracer();
-      DeviceUtilSummary u;
-      u.mean_compute_util = tr.mean_compute_util(0, out.makespan);
-      u.mean_bw_util = tr.mean_bw_util(0, out.makespan);
-      u.idle_frac = tr.compute_idle_fraction(0, out.makespan);
-      u.switching_frac = tr.switching_fraction(0, out.makespan);
-      u.util_cov = tr.compute_util_cov(0, out.makespan, sim::msec(100));
-      u.idle_gaps = tr.idle_gap_count(0, out.makespan, sim::msec(5));
-      out.device_util.push_back(u);
-    }
-  }
+  store_report_entry(label, value);
 }
 }  // namespace
 
-RunOutput run_scenario_until(const RunConfig& cfg,
-                             const std::vector<StreamSpec>& streams,
-                             sim::SimTime horizon) {
+workloads::ScenarioRunResult run(const std::string& label,
+                                 const workloads::ScenarioConfig& cfg) {
+  workloads::RunArtifacts artifacts;
+  if (const char* dir = trace_dir()) {
+    // Pointing STRINGS_TRACE_DIR at a fresh path is the common case in CI;
+    // create it instead of failing every run.
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    const std::string base = std::string(dir) + "/" + sanitize_label(label);
+    artifacts.trace_path = base + ".trace.json";
+    artifacts.metrics_path = base + ".metrics.csv";
+  }
   const auto wall_start = std::chrono::steady_clock::now();
-  sim::Simulation sim;
-  workloads::TestbedConfig tcfg = to_testbed_config(cfg);
-  workloads::Testbed bed(sim, tcfg);
-  auto stats = workloads::start_streams(bed, to_arrivals(streams));
-  sim.run_until(horizon);
+  workloads::ScenarioRunResult out = workloads::run_scenario(cfg, artifacts);
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - wall_start;
-  RunOutput out;
-  out.streams = *stats;
-  collect(cfg, bed, streams, out);
-  export_observability(cfg, bed);
-  out.makespan = horizon;
-  record_bench_report(cfg, streams, out, wall.count());
-  // Unwind live processes while the testbed they reference is still alive.
-  sim.terminate_processes();
-  return out;
-}
-
-RunOutput run_scenario(const RunConfig& cfg,
-                       const std::vector<StreamSpec>& streams) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  sim::Simulation sim;
-  workloads::TestbedConfig tcfg = to_testbed_config(cfg);
-  workloads::Testbed bed(sim, tcfg);
-  RunOutput out;
-  out.streams = workloads::run_streams(bed, to_arrivals(streams));
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - wall_start;
-  collect(cfg, bed, streams, out);
-  export_observability(cfg, bed);
-  record_bench_report(cfg, streams, out, wall.count());
+  record_bench_report(label, cfg, out, wall.count());
   return out;
 }
 
@@ -257,12 +155,13 @@ void record_bench_entry(const std::string& label, const std::string& value) {
   store_report_entry(label, value);
 }
 
-double mean_response(const RunOutput& out, std::size_t idx) {
+double mean_response(const workloads::ScenarioRunResult& out,
+                     std::size_t idx) {
   return out.streams.at(idx).mean_response_s();
 }
 
-metrics::ControlPlaneSummary control_plane_summary(const std::string& label,
-                                                   const RunOutput& out) {
+metrics::ControlPlaneSummary control_plane_summary(
+    const std::string& label, const workloads::ScenarioRunResult& out) {
   const core::ControlPlaneStats& s = out.control_plane;
   metrics::ControlPlaneSummary sum;
   sum.label = label;
@@ -287,16 +186,16 @@ metrics::ControlPlaneSummary control_plane_summary(const std::string& label,
   return sum;
 }
 
-std::vector<RunConfig> balancing_matrix(
+std::vector<LabeledTestbed> balancing_matrix(
     const std::vector<std::vector<gpu::DeviceProps>>& nodes) {
-  std::vector<RunConfig> configs;
+  std::vector<LabeledTestbed> configs;
   for (const auto* policy : {"GRR", "GMin", "GWtMin"}) {
     for (const auto mode : {workloads::Mode::kRain, workloads::Mode::kStrings}) {
-      RunConfig cfg;
+      LabeledTestbed cfg;
       cfg.label = std::string(policy) + "-" + workloads::mode_name(mode);
-      cfg.mode = mode;
-      cfg.nodes = nodes;
-      cfg.balancing = policy;
+      cfg.testbed.mode = mode;
+      cfg.testbed.nodes = nodes;
+      cfg.testbed.balancing_policy = policy;
       configs.push_back(std::move(cfg));
     }
   }
@@ -304,20 +203,19 @@ std::vector<RunConfig> balancing_matrix(
 }
 
 std::vector<double> single_node_grr_baseline(
-    const std::vector<StreamSpec>& streams, workloads::Mode mode) {
+    const std::vector<workloads::ArrivalConfig>& streams,
+    workloads::Mode mode) {
   // Each stream gets its own 2-GPU node under GRR, independently — the
   // "single node GRR" the paper measures the supernode figures against.
   std::vector<double> result;
   for (const auto& s : streams) {
-    RunConfig cfg;
-    cfg.label = "single-node-GRR";
-    cfg.mode = mode;
-    cfg.nodes = workloads::small_server();
-    cfg.balancing = "GRR";
-    StreamSpec local = s;
-    local.origin = 0;
-    const RunOutput out = run_scenario(cfg, {local});
-    result.push_back(mean_response(out, 0));
+    workloads::ScenarioConfig cfg;
+    cfg.testbed.mode = mode;
+    cfg.testbed.nodes = workloads::small_server();
+    cfg.testbed.balancing_policy = "GRR";
+    cfg.streams = {s};
+    cfg.streams[0].origin = 0;
+    result.push_back(mean_response(run("single-node-GRR", cfg), 0));
   }
   return result;
 }

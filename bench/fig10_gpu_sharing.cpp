@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   const int requests_short = opt.quick ? 12 : 20;
 
   auto make_streams = [&](const workloads::WorkloadPair& pair) {
-    StreamSpec a;
+    workloads::ArrivalConfig a;
     a.app = pair.long_app;
     a.origin = 0;
     a.requests = requests_long;
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     a.server_threads = 8;
     a.seed = 11;
     a.tenant = "tenantA";
-    StreamSpec b;
+    workloads::ArrivalConfig b;
     b.app = pair.short_app;
     b.origin = 1;
     b.requests = requests_short;
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     b.server_threads = 8;
     b.seed = 23;
     b.tenant = "tenantB";
-    return std::vector<StreamSpec>{a, b};
+    return std::vector<workloads::ArrivalConfig>{a, b};
   };
 
   // The single-node-GRR baseline depends only on the app, not on the pair:
@@ -54,7 +54,8 @@ int main(int argc, char** argv) {
   for (const auto& pair : pairs) {
     for (const auto* role : {&pair.long_app, &pair.short_app}) {
       if (baseline.contains(*role)) continue;
-      StreamSpec s = make_streams(pair)[role == &pair.short_app ? 1 : 0];
+      const workloads::ArrivalConfig s =
+          make_streams(pair)[role == &pair.short_app ? 1 : 0];
       baseline[*role] = single_node_grr_baseline({s})[0];
     }
   }
@@ -71,7 +72,10 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{std::string(1, pair.label),
                                  pair.long_app + "-" + pair.short_app};
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      const RunOutput out = run_scenario(configs[c], streams);
+      workloads::ScenarioConfig cfg;
+      cfg.testbed = configs[c].testbed;
+      cfg.streams = streams;
+      const auto out = run(configs[c].label, cfg);
       const double ws = metrics::weighted_speedup(
           {baseline[pair.long_app], baseline[pair.short_app]},
           {mean_response(out, 0), mean_response(out, 1)});

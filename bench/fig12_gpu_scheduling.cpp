@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   };
 
   auto make_streams = [&](const workloads::WorkloadPair& pair) {
-    StreamSpec a;
+    workloads::ArrivalConfig a;
     a.app = pair.long_app;
     a.origin = 0;
     a.requests = requests_long;
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     a.server_threads = 8;
     a.seed = 11;
     a.tenant = "tenantA";
-    StreamSpec b;
+    workloads::ArrivalConfig b;
     b.app = pair.short_app;
     b.origin = 1;
     b.requests = requests_short;
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     b.server_threads = 8;
     b.seed = 23;
     b.tenant = "tenantB";
-    return std::vector<StreamSpec>{a, b};
+    return std::vector<workloads::ArrivalConfig>{a, b};
   };
 
   std::map<std::string, double> baseline;
@@ -81,13 +81,13 @@ int main(int argc, char** argv) {
                                  pair.long_app + "-" + pair.short_app};
     double las_jain = 0.0, ps_jain = 0.0;
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      RunConfig cfg;
-      cfg.label = configs[c].label;
-      cfg.mode = configs[c].mode;
-      cfg.nodes = workloads::supernode();
-      cfg.balancing = "GWtMin";
-      cfg.device_policy = configs[c].device_policy;
-      const RunOutput out = run_scenario(cfg, streams);
+      workloads::ScenarioConfig cfg;
+      cfg.testbed.mode = configs[c].mode;
+      cfg.testbed.nodes = workloads::supernode();
+      cfg.testbed.balancing_policy = "GWtMin";
+      cfg.testbed.device_policy = configs[c].device_policy;
+      cfg.streams = streams;
+      const auto out = run(configs[c].label, cfg);
       const double ws = metrics::weighted_speedup(
           {baseline[pair.long_app], baseline[pair.short_app]},
           {mean_response(out, 0), mean_response(out, 1)});

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   };
 
   auto make_streams = [&](const workloads::WorkloadPair& pair) {
-    StreamSpec a;
+    workloads::ArrivalConfig a;
     a.app = pair.long_app;
     a.origin = 0;
     a.requests = requests_long;
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     a.server_threads = 8;
     a.seed = 11;
     a.tenant = "tenantA";
-    StreamSpec b;
+    workloads::ArrivalConfig b;
     b.app = pair.short_app;
     b.origin = 1;
     b.requests = requests_short;
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     b.server_threads = 8;
     b.seed = 23;
     b.tenant = "tenantB";
-    return std::vector<StreamSpec>{a, b};
+    return std::vector<workloads::ArrivalConfig>{a, b};
   };
 
   std::vector<std::string> headers{"Pair", "Mix"};
@@ -64,25 +64,26 @@ int main(int argc, char** argv) {
     // Baseline: GRR over the shared 4-GPU pool, no dispatcher, Rain.
     std::vector<double> base;
     {
-      RunConfig cfg;
-      cfg.mode = workloads::Mode::kRain;
-      cfg.nodes = workloads::supernode();
-      cfg.balancing = "GRR";
-      cfg.device_policy = "AllAwake";
-      const RunOutput out = run_scenario(cfg, streams);
+      workloads::ScenarioConfig cfg;
+      cfg.testbed.mode = workloads::Mode::kRain;
+      cfg.testbed.nodes = workloads::supernode();
+      cfg.testbed.balancing_policy = "GRR";
+      cfg.testbed.device_policy = "AllAwake";
+      cfg.streams = streams;
+      const auto out = run("run", cfg);
       base = {mean_response(out, 0), mean_response(out, 1)};
     }
 
     std::vector<std::string> row{std::string(1, pair.label),
                                  pair.long_app + "-" + pair.short_app};
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      RunConfig cfg;
-      cfg.label = configs[c].label;
-      cfg.mode = configs[c].mode;
-      cfg.nodes = workloads::supernode();
-      cfg.balancing = "GRR";
-      cfg.device_policy = configs[c].device_policy;
-      const RunOutput out = run_scenario(cfg, streams);
+      workloads::ScenarioConfig cfg;
+      cfg.testbed.mode = configs[c].mode;
+      cfg.testbed.nodes = workloads::supernode();
+      cfg.testbed.balancing_policy = "GRR";
+      cfg.testbed.device_policy = configs[c].device_policy;
+      cfg.streams = streams;
+      const auto out = run(configs[c].label, cfg);
       const double ws = metrics::weighted_speedup(
           base, {mean_response(out, 0), mean_response(out, 1)});
       speedups[c].push_back(ws);

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   };
 
   auto make_streams = [&](const workloads::WorkloadPair& pair) {
-    StreamSpec a;
+    workloads::ArrivalConfig a;
     a.app = pair.long_app;
     a.origin = 0;
     a.requests = requests_long;
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     a.server_threads = 8;
     a.seed = 11;
     a.tenant = "tenantA";
-    StreamSpec b;
+    workloads::ArrivalConfig b;
     b.app = pair.short_app;
     b.origin = 1;
     b.requests = requests_short;
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     b.server_threads = 8;
     b.seed = 23;
     b.tenant = "tenantB";
-    return std::vector<StreamSpec>{a, b};
+    return std::vector<workloads::ArrivalConfig>{a, b};
   };
 
   std::map<std::string, double> baseline;
@@ -78,13 +78,13 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{std::string(1, pair.label),
                                  pair.long_app + "-" + pair.short_app};
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      RunConfig cfg;
-      cfg.label = configs[c].label;
-      cfg.mode = configs[c].mode;
-      cfg.nodes = workloads::supernode();
-      cfg.balancing = "GWtMin";          // until feedback exists
-      cfg.feedback = configs[c].feedback;  // then the Arbiter switches
-      const RunOutput out = run_scenario(cfg, streams);
+      workloads::ScenarioConfig cfg;
+      cfg.testbed.mode = configs[c].mode;
+      cfg.testbed.nodes = workloads::supernode();
+      cfg.testbed.balancing_policy = "GWtMin";  // until feedback exists
+      cfg.testbed.feedback_policy = configs[c].feedback;  // then it switches
+      cfg.streams = streams;
+      const auto out = run(configs[c].label, cfg);
       const double ws = metrics::weighted_speedup(
           {baseline[pair.long_app], baseline[pair.short_app]},
           {mean_response(out, 0), mean_response(out, 1)});

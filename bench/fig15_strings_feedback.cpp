@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   const int requests_short = opt.quick ? 12 : 20;
 
   auto make_streams = [&](const workloads::WorkloadPair& pair) {
-    StreamSpec a;
+    workloads::ArrivalConfig a;
     a.app = pair.long_app;
     a.origin = 0;
     a.requests = requests_long;
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     a.server_threads = 8;
     a.seed = 11;
     a.tenant = "tenantA";
-    StreamSpec b;
+    workloads::ArrivalConfig b;
     b.app = pair.short_app;
     b.origin = 1;
     b.requests = requests_short;
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     b.server_threads = 8;
     b.seed = 23;
     b.tenant = "tenantB";
-    return std::vector<StreamSpec>{a, b};
+    return std::vector<workloads::ArrivalConfig>{a, b};
   };
 
   std::map<std::string, double> baseline;
@@ -67,13 +67,13 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{std::string(1, pair.label),
                                  pair.long_app + "-" + pair.short_app};
     for (std::size_t c = 0; c < policies.size(); ++c) {
-      RunConfig cfg;
-      cfg.label = policies[c] + "-Strings";
-      cfg.mode = workloads::Mode::kStrings;
-      cfg.nodes = workloads::supernode();
-      cfg.balancing = "GWtMin";
-      cfg.feedback = policies[c];
-      const RunOutput out = run_scenario(cfg, streams);
+      workloads::ScenarioConfig cfg;
+      cfg.testbed.mode = workloads::Mode::kStrings;
+      cfg.testbed.nodes = workloads::supernode();
+      cfg.testbed.balancing_policy = "GWtMin";
+      cfg.testbed.feedback_policy = policies[c];
+      cfg.streams = streams;
+      const auto out = run(policies[c] + "-Strings", cfg);
       const double ws = metrics::weighted_speedup(
           {baseline[pair.long_app], baseline[pair.short_app]},
           {mean_response(out, 0), mean_response(out, 1)});

@@ -35,22 +35,25 @@ int main(int argc, char** argv) {
 
   std::vector<std::vector<double>> speedups(configs.size());
   for (const auto& app : apps) {
-    StreamSpec spec;
+    workloads::ArrivalConfig spec;
     spec.app = app;
     spec.requests = requests;
     spec.lambda_scale = 0.45;  // bursty overload: requests queue and collide
     spec.server_threads = 8;
     spec.seed = 1;
 
-    RunConfig base;
-    base.label = "CUDA";
-    base.mode = workloads::Mode::kCudaBaseline;
-    base.nodes = workloads::small_server();
-    const double cuda_time = mean_response(run_scenario(base, {spec}), 0);
+    workloads::ScenarioConfig base;
+    base.testbed.mode = workloads::Mode::kCudaBaseline;
+    base.testbed.nodes = workloads::small_server();
+    base.streams = {spec};
+    const double cuda_time = mean_response(run("CUDA", base), 0);
 
     std::vector<std::string> row{app, metrics::Table::fmt(cuda_time)};
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      const double t = mean_response(run_scenario(configs[c], {spec}), 0);
+      workloads::ScenarioConfig cfg;
+      cfg.testbed = configs[c].testbed;
+      cfg.streams = {spec};
+      const double t = mean_response(run(configs[c].label, cfg), 0);
       const double speedup = t > 0 ? cuda_time / t : 0.0;
       speedups[c].push_back(speedup);
       row.push_back(metrics::Table::fmt(speedup) + "x");

@@ -288,7 +288,7 @@ int main(int argc, char** argv) {
             .count();
       };
     }
-    result = workloads::run_scenario_config_full(cfg, artifacts);
+    result = workloads::run_scenario(cfg, artifacts);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

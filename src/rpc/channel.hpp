@@ -129,6 +129,7 @@ class Channel {
   std::uint64_t packets_sent() const { return packets_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
   const LinkModel& link() const { return link_; }
+  sim::Simulation& simulation() const { return sim_; }
 
  private:
   sim::Simulation& sim_;
@@ -156,12 +157,14 @@ class DuplexChannel {
   Channel response;
 };
 
-/// Client endpoint: one per frontend application binding. Single-threaded
-/// callers get strictly ordered responses; `call` blocks, `post` does not
-/// (the paper's non-blocking RPC optimization for calls without outputs).
+/// Client endpoint: one per frontend application binding, or one per node
+/// agent shared by that node's application fibers. `call` blocks, `post`
+/// does not (Strings' non-blocking RPC conversion). Several fibers may call
+/// through one client at once: each gets the response to its own call.
 class RpcClient {
  public:
-  explicit RpcClient(DuplexChannel& ch) : ch_(ch) {}
+  explicit RpcClient(DuplexChannel& ch)
+      : ch_(ch), turn_(ch.response.simulation()) {}
 
   /// Blocking call; returns the response body. `payload_bytes` models bulk
   /// data shipped with the request (e.g. the H2D buffer).
@@ -174,9 +177,8 @@ class RpcClient {
     p.payload_bytes = payload_bytes;
     const std::uint64_t want = p.seq;
     ch_.request.send(std::move(p));
-    Packet resp = ch_.response.receive();
-    // In-order channel + single-threaded caller: the response matches the
-    // oldest outstanding call. One-way posts produce no responses.
+    Packet resp = await_response(want);
+    // The server answers in call order; anything else is a broken peer.
     if (resp.seq != want) {
       throw DecodeError("rpc response out of order");
     }
@@ -195,8 +197,42 @@ class RpcClient {
   }
 
  private:
+  // Responses arrive in call order and the inbox wakes its blocked callers
+  // in the order they blocked, so a caller that blocks on an empty inbox
+  // gets its own response. A caller that finds responses already waiting
+  // must not take one: each belongs to an earlier caller that has been
+  // woken but has not run yet. It queues (in call order) until those are
+  // taken, then blocks on the inbox in turn -- or, when no caller is
+  // blocked there, the response at the front is its own.
+  Packet await_response(std::uint64_t seq) {
+    if (!ch_.response.has_pending() && queued_.empty()) return receive();
+    queued_.push_back(seq);
+    for (;;) {
+      if (queued_.front() == seq &&
+          (!ch_.response.has_pending() || receivers_ == 0)) {
+        break;
+      }
+      turn_.wait();
+    }
+    queued_.erase(queued_.begin());
+    turn_.notify_all();
+    if (auto resp = ch_.response.try_receive()) return std::move(*resp);
+    return receive();
+  }
+
+  Packet receive() {
+    ++receivers_;
+    Packet resp = ch_.response.receive();
+    --receivers_;
+    if (!queued_.empty()) turn_.notify_all();
+    return resp;
+  }
+
   DuplexChannel& ch_;
   std::uint64_t next_seq_ = 0;
+  sim::Event turn_;                     // queued callers re-check on notify
+  std::vector<std::uint64_t> queued_;   // seqs of queued callers, in order
+  int receivers_ = 0;                   // callers blocked on the inbox
 };
 
 }  // namespace strings::rpc

@@ -172,8 +172,6 @@ ScenarioConfig parse_scenario(std::istream& in) {
         cfg.testbed.sched_epoch = sim::msec(to_int(line, value));
       } else if (key == "trace_devices") {
         cfg.testbed.trace_devices = to_bool(line, value);
-      } else if (key == "trace_events") {
-        cfg.testbed.trace_events = to_bool(line, value);
       } else if (key == "trace") {
         cfg.testbed.trace = to_bool(line, value);
       } else if (key == "sampler_epoch_ms") {
@@ -350,57 +348,82 @@ ScenarioConfig load_scenario(const std::string& path) {
 
 namespace {
 
-/// Starts closed-loop streams and open-loop tenants, drives the simulation
-/// to completion, and returns stream rows followed by tenant rows (one
-/// StreamStats per [tenant], so the run_scenario table covers both).
-std::vector<StreamStats> run_all_traffic(Testbed& bed,
-                                         const ScenarioConfig& cfg) {
-  auto stream_stats = start_streams(bed, cfg.streams);
-  auto tenant_stats = start_open_loop(bed, cfg.tenants);
-  bed.simulation().run();
-  std::vector<StreamStats> out = std::move(*stream_stats);
-  out.insert(out.end(), tenant_stats->begin(), tenant_stats->end());
-  return out;
+/// Unwinds every live process while the testbed it references still
+/// exists: at a horizon app and service fibers are mid-request, and an
+/// export that throws leaves the backend daemons blocked.
+class TerminateOnExit {
+ public:
+  explicit TerminateOnExit(sim::Simulation& sim) : sim_(sim) {}
+  ~TerminateOnExit() { sim_.terminate_processes(); }
+  TerminateOnExit(const TerminateOnExit&) = delete;
+  TerminateOnExit& operator=(const TerminateOnExit&) = delete;
+
+ private:
+  sim::Simulation& sim_;
+};
+
+/// Fills the run-summary fields of `result` from the finished testbed.
+void collect(Testbed& bed, const ScenarioConfig& cfg,
+             ScenarioRunResult& result) {
+  result.control_plane = bed.control_plane_stats();
+  for (const auto& s : cfg.streams) {
+    result.tenant_service_s[s.tenant] = bed.attained_service_s(s.tenant);
+  }
+  for (const auto& t : cfg.tenants) {
+    result.tenant_service_s[t.name] = bed.attained_service_s(t.name);
+  }
+  if (cfg.horizon > 0) {
+    result.makespan = cfg.horizon;
+  } else {
+    for (const auto& st : result.streams) {
+      result.makespan = std::max(result.makespan, st.makespan);
+    }
+  }
+  const sim::SimTime end = result.makespan;
+  for (core::Gid g = 0; g < bed.gpu_count(); ++g) {
+    result.device_counters.push_back(bed.device(g).counters());
+    if (bed.config().trace_devices && end > 0) {
+      const auto& tr = bed.device(g).tracer();
+      DeviceUtilSummary u;
+      u.mean_compute_util = tr.mean_compute_util(0, end);
+      u.mean_bw_util = tr.mean_bw_util(0, end);
+      u.idle_frac = tr.compute_idle_fraction(0, end);
+      u.switching_frac = tr.switching_fraction(0, end);
+      u.util_cov = tr.compute_util_cov(0, end, sim::msec(100));
+      u.idle_gaps = tr.idle_gap_count(0, end, sim::msec(5));
+      result.device_util.push_back(u);
+    }
+  }
 }
 
 }  // namespace
 
-std::vector<StreamStats> run_scenario_config(const ScenarioConfig& cfg) {
-  sim::Simulation sim;
-  Testbed bed(sim, cfg.testbed);
-  return run_all_traffic(bed, cfg);
-}
-
-std::vector<StreamStats> run_scenario_config(const ScenarioConfig& cfg,
-                                             const std::string& trace_path,
-                                             const std::string& metrics_path) {
-  return run_scenario_config_full(cfg, trace_path, metrics_path, "").streams;
-}
-
-ScenarioRunResult run_scenario_config_full(const ScenarioConfig& cfg,
-                                           const RunArtifacts& artifacts) {
-  ScenarioConfig run_cfg = cfg;
+ScenarioRunResult run_scenario(const ScenarioConfig& cfg,
+                               const RunArtifacts& artifacts) {
+  TestbedConfig tcfg = cfg.testbed;
   if (!artifacts.trace_path.empty() || !artifacts.prof_path.empty()) {
-    run_cfg.testbed.trace = true;
+    tcfg.trace = true;
   }
-  if (!artifacts.analysis_path.empty()) run_cfg.testbed.analyze = true;
+  if (!artifacts.analysis_path.empty()) tcfg.analyze = true;
   if (!artifacts.stream_path.empty() || !artifacts.slo_rules_path.empty()) {
-    run_cfg.testbed.stream = true;
+    tcfg.stream = true;
   }
   if (artifacts.exemplar_k > 0) {
     // Exemplars need the full pipeline: request traces for the causal
     // timelines, streaming windows for the ids, forensics for the culprit
     // attribution (exemplars > 0 implies forensics in the Testbed).
-    run_cfg.testbed.trace = true;
-    run_cfg.testbed.stream = true;
-    run_cfg.testbed.exemplars = artifacts.exemplar_k;
+    tcfg.trace = true;
+    tcfg.stream = true;
+    tcfg.exemplars = artifacts.exemplar_k;
   }
+  // Declared first so the stream sink it backs outlives the testbed.
+  std::ofstream stream_out;
   sim::Simulation sim;
-  Testbed bed(sim, run_cfg.testbed);
+  Testbed bed(sim, std::move(tcfg));
+  const TerminateOnExit terminate(sim);
   // Streaming exporter: open (and fail) before the run, flush per window so
   // a live consumer (tools/strings_top --follow) sees each line as it
   // closes.
-  std::ofstream stream_out;
   if (!artifacts.stream_path.empty()) {
     stream_out.open(artifacts.stream_path);
     if (!stream_out) {
@@ -422,7 +445,21 @@ ScenarioRunResult run_scenario_config_full(const ScenarioConfig& cfg,
     });
   }
   ScenarioRunResult result;
-  result.streams = run_all_traffic(bed, run_cfg);
+  {
+    auto stream_stats = start_streams(bed, cfg.streams);
+    auto tenant_stats = start_open_loop(bed, cfg.tenants);
+    if (cfg.horizon > 0) {
+      sim.run_until(cfg.horizon);
+    } else {
+      sim.run();
+    }
+    // Copied, not moved: at a horizon, live fibers still index these rows
+    // until they are unwound.
+    result.streams = *stream_stats;
+    result.streams.insert(result.streams.end(), tenant_stats->begin(),
+                          tenant_stats->end());
+  }
+  collect(bed, cfg, result);
   // Close the trailing window (the weak tick dies with the last real
   // event) before any export reads the registry or the alert log.
   bed.finalize_stream();
@@ -498,17 +535,6 @@ ScenarioRunResult run_scenario_config_full(const ScenarioConfig& cfg,
     }
   }
   return result;
-}
-
-ScenarioRunResult run_scenario_config_full(const ScenarioConfig& cfg,
-                                           const std::string& trace_path,
-                                           const std::string& metrics_path,
-                                           const std::string& analysis_path) {
-  RunArtifacts artifacts;
-  artifacts.trace_path = trace_path;
-  artifacts.metrics_path = metrics_path;
-  artifacts.analysis_path = analysis_path;
-  return run_scenario_config_full(cfg, artifacts);
 }
 
 }  // namespace strings::workloads

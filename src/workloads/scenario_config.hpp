@@ -69,6 +69,7 @@
 #include <cstdint>
 #include <functional>
 #include <istream>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -91,6 +92,11 @@ struct ScenarioConfig {
   std::vector<ArrivalConfig> streams;
   /// Open-loop tenants ([tenant] sections); may coexist with streams.
   std::vector<OpenLoopTenant> tenants;
+  /// Virtual time at which the run stops (0 = run until the traffic
+  /// drains). A horizon samples attained service while every tenant is
+  /// still backlogged (Fig. 11); processes still live there are unwound
+  /// before the testbed is destroyed.
+  sim::SimTime horizon = 0;
 };
 
 /// Parses scenario text. Throws ScenarioParseError on bad input.
@@ -100,24 +106,35 @@ ScenarioConfig parse_scenario(const std::string& text);
 /// Loads a scenario file from disk.
 ScenarioConfig load_scenario(const std::string& path);
 
-/// Runs a parsed scenario to completion and returns the stream stats.
-std::vector<StreamStats> run_scenario_config(const ScenarioConfig& cfg);
+/// Per-device utilization summary over [0, makespan] (only filled when
+/// TestbedConfig::trace_devices is set).
+struct DeviceUtilSummary {
+  double mean_compute_util = 0.0;
+  double mean_bw_util = 0.0;
+  double idle_frac = 0.0;
+  double switching_frac = 0.0;
+  double util_cov = 0.0;  // coefficient of variation on a 100ms grid
+  int idle_gaps = 0;      // idle intervals >= 5ms (Fig. 2 "glitches")
+};
 
-/// Like run_scenario_config, but additionally exports observability data:
-/// a Chrome trace-event JSON to `trace_path` (forces tracing on when
-/// non-empty) and a metrics-registry CSV to `metrics_path`. Pass "" to
-/// skip either output. Throws std::runtime_error when a file can't be
-/// written.
-std::vector<StreamStats> run_scenario_config(const ScenarioConfig& cfg,
-                                             const std::string& trace_path,
-                                             const std::string& metrics_path);
-
-/// Everything a scenario run produced: per-stream stats plus the analysis
-/// verdict (zero counts when the analyzer was not enabled).
+/// Everything a scenario run produced.
 struct ScenarioRunResult {
+  /// One row per [stream], then one per [tenant], in config order.
   std::vector<StreamStats> streams;
+  /// Attained GPU service (seconds) per tenant, for Jain's fairness.
+  std::map<std::string, double> tenant_service_s;
+  /// Per-GID device counters after the run.
+  std::vector<gpu::DeviceCounters> device_counters;
+  /// One entry per GID when TestbedConfig::trace_devices is set.
+  std::vector<DeviceUtilSummary> device_util;
+  /// Aggregated control-plane counters (RPCs, bytes, staleness, per-select
+  /// latency) plus the authoritative placement log.
+  core::ControlPlaneStats control_plane;
+  /// Last completion over all rows, or the horizon on a horizon run.
+  sim::SimTime makespan = 0;
   /// Protocol invariant violations (INV-*) — a non-zero count means the
-  /// run broke a state-machine contract and run_scenario exits 3.
+  /// run broke a state-machine contract and run_scenario exits 3. Zero
+  /// when the analyzer was not enabled.
   std::int64_t invariant_violations = 0;
   /// Logical races (unordered conflicting accesses) — informational; many
   /// timing-ordered schedules are not causally ordered.
@@ -153,18 +170,14 @@ struct RunArtifacts {
   std::function<double()> wall_clock_ms;
 };
 
-/// The full-fat runner behind `run_scenario`: optional Chrome trace JSON,
-/// metrics CSV, analysis report and profiler report. A non-empty prof path
-/// runs obs::prof over the tracer and registers prof/... metrics before
-/// the CSV export, so --metrics carries the attribution too. Throws
-/// std::runtime_error when an output file can't be written.
-ScenarioRunResult run_scenario_config_full(const ScenarioConfig& cfg,
-                                           const RunArtifacts& artifacts);
-
-/// Back-compat shim for the pre-profiler signature.
-ScenarioRunResult run_scenario_config_full(const ScenarioConfig& cfg,
-                                           const std::string& trace_path,
-                                           const std::string& metrics_path,
-                                           const std::string& analysis_path);
+/// Runs a scenario on a fresh Simulation + Testbed, to drain or to
+/// `cfg.horizon`, and writes the requested artifacts. A non-empty prof
+/// path runs obs::prof over the tracer and registers prof/... metrics
+/// before the CSV export, so the metrics file carries the attribution too.
+/// Live processes are unwound before the testbed is destroyed on every
+/// path, including an export that throws. Throws std::runtime_error when an
+/// output file can't be written.
+ScenarioRunResult run_scenario(const ScenarioConfig& cfg,
+                               const RunArtifacts& artifacts = {});
 
 }  // namespace strings::workloads

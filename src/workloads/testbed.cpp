@@ -95,9 +95,6 @@ Testbed::Testbed(sim::Simulation& sim, TestbedConfig config)
                                core::PlacementMode::kDistributed);
   }
 
-  if (config_.trace_events) {
-    trace_log_ = std::make_unique<sim::TraceLog>(sim_);
-  }
   if (config_.trace) {
     tracer_ = std::make_unique<obs::Tracer>();
     // Run-config labels: exported as trace metadata and echoed in the
@@ -131,7 +128,6 @@ Testbed::Testbed(sim::Simulation& sim, TestbedConfig config)
   mcfg.static_policy = config_.balancing_policy;
   mcfg.feedback_policy = config_.feedback_policy;
   service_ = std::make_unique<core::PlacementService>(mcfg);
-  service_->set_trace_log(trace_log_.get());
   if (tracer_ != nullptr) {
     service_->set_tracer(tracer_.get(), config_.control_plane.service_node);
   }
@@ -258,12 +254,6 @@ Testbed::Testbed(sim::Simulation& sim, TestbedConfig config)
     daemons_.push_back(std::make_unique<backend::BackendDaemon>(
         sim_, static_cast<core::NodeId>(n), *runtimes_[n], node_gids_[n],
         bcfg));
-    if (trace_log_ != nullptr) {
-      for (std::size_t d = 0; d < config_.nodes[n].size(); ++d) {
-        daemons_.back()->scheduler(static_cast<int>(d))
-            .set_trace_log(trace_log_.get());
-      }
-    }
     if (tracer_ != nullptr) {
       daemons_.back()->set_tracer(tracer_.get());
       for (std::size_t d = 0; d < config_.nodes[n].size(); ++d) {

@@ -57,8 +57,6 @@ struct TestbedConfig {
   policies::MqfqConfig mqfq;
   sim::SimTime sched_epoch = sim::msec(10);
   bool trace_devices = false;
-  /// Structured event tracing of scheduler decisions (Testbed::trace_log).
-  bool trace_events = false;
   /// Unified observability: request-lifecycle spans, per-device tracks and
   /// the periodic sampler (Testbed::tracer). Off by default — a disabled
   /// run is bit-for-bit identical to one without instrumentation.
@@ -172,8 +170,6 @@ class Testbed final : public frontend::SchedulerDirectory {
   /// the happens-before tracker and invariant checker; render its report
   /// with analyzer()->render(os) after the run.
   analysis::Analyzer* analyzer() { return analyzer_.get(); }
-  /// Populated when TestbedConfig::trace_events is set; nullptr otherwise.
-  sim::TraceLog* trace_log() { return trace_log_.get(); }
   /// Populated when TestbedConfig::trace is set; nullptr otherwise. Export
   /// with obs::write_chrome_trace_file after the run.
   obs::Tracer* tracer() { return tracer_.get(); }
@@ -260,7 +256,6 @@ class Testbed final : public frontend::SchedulerDirectory {
   std::unique_ptr<core::PlacementService> service_;
   /// Declared after service_: agents hold channels the service owns.
   std::vector<std::unique_ptr<core::MapperAgent>> agents_;
-  std::unique_ptr<sim::TraceLog> trace_log_;
   std::unique_ptr<obs::Tracer> tracer_;
   obs::Registry registry_;
   std::unique_ptr<obs::TimeSeries> timeseries_;

@@ -88,7 +88,7 @@ std::vector<workloads::StreamStats> run_with_analyze(const char* scenario,
                                                      bool analyze) {
   auto cfg = workloads::parse_scenario(std::string(scenario));
   cfg.testbed.analyze = analyze;
-  return workloads::run_scenario_config(cfg);
+  return workloads::run_scenario(cfg).streams;
 }
 
 TEST(AnalysisZeroOverhead, DistributedMapperTimelineIsUnperturbed) {
@@ -124,7 +124,10 @@ TEST(AnalysisZeroOverhead, ExportedArtifactsAreByteIdentical) {
     cfg.testbed.analyze = analyze;
     const std::string trace = dir + "/zo_" + tag + ".trace.json";
     const std::string metrics = dir + "/zo_" + tag + ".metrics.csv";
-    workloads::run_scenario_config(cfg, trace, metrics);
+    workloads::RunArtifacts artifacts;
+    artifacts.trace_path = trace;
+    artifacts.metrics_path = metrics;
+    workloads::run_scenario(cfg, artifacts);
     return std::make_pair(slurp(trace), slurp(metrics));
   };
   const auto off = run(false, "off");

@@ -282,5 +282,69 @@ TEST(Integration, TwoStreamsShareTheServer) {
   EXPECT_EQ(stats[0].errors + stats[1].errors, 0);
 }
 
+
+// Protocol sequences observed through the components' own counters and the
+// analyzer: the Request Manager's three-way handshake (paper Fig. 7a), the
+// Policy Arbiter's dynamic switch, and TFS dispatcher arbitration. (Suite
+// and case names are kept from when these read a string event log.)
+struct TracedRun {
+  explicit TracedRun(int requests = 2) {
+    TestbedConfig cfg;
+    cfg.mode = Mode::kStrings;
+    cfg.nodes = small_server();
+    cfg.balancing_policy = "GWtMin";
+    cfg.device_policy = "TFS";
+    cfg.feedback_policy = "MBF";
+    cfg.analyze = true;
+    bed = std::make_unique<Testbed>(sim, cfg);
+    ArrivalConfig a;
+    a.app = "BS";
+    a.requests = requests;
+    a.lambda_scale = 1.5;  // sequential: feedback lands between requests
+    a.seed = 7;
+    stats = run_streams(*bed, {a});
+  }
+  sim::Simulation sim;
+  std::unique_ptr<Testbed> bed;
+  std::vector<StreamStats> stats;
+};
+
+TEST(TracedStack, HandshakeSequencePerRegistration) {
+  TracedRun run;
+  ASSERT_EQ(run.stats[0].completed, 2);
+  // Every registration went register -> signal id -> ack -> unregister, and
+  // no kernel was dispatched before its handshake was acked.
+  const analysis::Report& report = run.bed->analyzer()->report();
+  EXPECT_FALSE(report.has("INV-RCB-1")) << report.invariant_violations();
+  EXPECT_FALSE(report.has("INV-HSK-1")) << report.invariant_violations();
+}
+
+TEST(TracedStack, MapperLogsSelectionsAndArbiterSwitch) {
+  TracedRun run(/*requests=*/3);
+  // The first selection used the static policy; the Arbiter switched to MBF
+  // after the first feedback record, so the later two used feedback.
+  EXPECT_EQ(run.bed->mapper().static_selections(), 1);
+  EXPECT_EQ(run.bed->mapper().feedback_selections(), 2);
+}
+
+TEST(TracedStack, TfsDispatcherLogsWakeSleepTransitions) {
+  sim::Simulation sim;
+  TestbedConfig cfg;
+  cfg.mode = Mode::kStrings;
+  cfg.nodes = {{gpu::tesla_c2050()}};
+  cfg.device_policy = "TFS";
+  Testbed bed(sim, cfg);
+  ArrivalConfig a;
+  a.app = "MC";
+  a.requests = 3;
+  a.lambda_scale = 0.05;  // pile up: TFS must arbitrate
+  a.server_threads = 3;
+  a.seed = 3;
+  run_streams(bed, {a});
+  const core::GpuScheduler& sched = bed.daemon(0).scheduler(0);
+  EXPECT_GT(sched.dispatcher_wakes(), 0);
+  EXPECT_GT(sched.dispatcher_sleeps(), 0);
+}
+
 }  // namespace
 }  // namespace strings::workloads

@@ -344,6 +344,94 @@ TEST(RpcClient, MixedPostAndCallKeepOrder) {
   EXPECT_EQ(server_order[2], CallId::kDeviceSynchronize);
 }
 
+// A server answering each call with its u64 argument times ten, in order.
+void spawn_times_ten_server(sim::Simulation& sim, DuplexChannel& ch) {
+  sim.spawn_daemon("server", [&ch] {
+    while (true) {
+      Packet req = ch.request.receive();
+      Unmarshal u(req.body);
+      Marshal m;
+      m.put_u64(u.get_u64() * 10);
+      Packet resp;
+      resp.seq = req.seq;
+      resp.body = std::move(m).take();
+      ch.response.send(std::move(resp));
+    }
+  });
+}
+
+std::uint64_t call_times_ten(RpcClient& client, std::uint64_t x) {
+  Marshal args;
+  args.put_u64(x);
+  Unmarshal u(client.call(CallId::kSelectDevice, std::move(args)));
+  return u.get_u64();
+}
+
+// Two fibers share one client (as a node's app fibers share its mapper
+// agent's). The second calls at the instant the first one's response has
+// been delivered but before the first fiber has resumed to take it: the
+// inbox already holds a response, and it is not the second caller's.
+TEST(RpcClient, ConcurrentCallersEachGetTheirOwnResponse) {
+  sim::Simulation sim;
+  DuplexChannel ch(sim, LinkModel{usec(10), 0.0});  // 20us round trip
+  spawn_times_ten_server(sim, ch);
+  RpcClient client(ch);
+  std::uint64_t first = 0, second = 0;
+  SimTime first_done = -1, second_done = -1;
+  sim.spawn("first", [&] {
+    first = call_times_ten(client, 1);
+    first_done = sim.now();
+  });
+  sim.spawn("second", [&] {
+    // Re-arm after the server replied (t=10us) so this wake-up is queued
+    // behind the response delivery at t=20us, but ahead of the resume that
+    // delivery schedules for the first caller.
+    sim.wait_for(usec(15));
+    sim.wait_for(usec(5));
+    ASSERT_TRUE(ch.response.has_pending());
+    second = call_times_ten(client, 2);
+    second_done = sim.now();
+  });
+  sim.run();
+  EXPECT_EQ(first, 10u);
+  EXPECT_EQ(second, 20u);
+  EXPECT_EQ(first_done, usec(20));
+  EXPECT_EQ(second_done, usec(40));
+}
+
+// Many fibers calling through one client over a zero-latency link, each
+// yielding a random number of times at the same instant before every call:
+// the arrival orders where a response lands while its caller is still
+// queued behind woken callers (and no caller is blocked on the inbox).
+TEST(RpcClient, SharedClientStressAtOneInstant) {
+  for (unsigned seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937 rng(seed);
+    sim::Simulation sim;
+    DuplexChannel ch(sim, LinkModel{0, 0.0});
+    spawn_times_ten_server(sim, ch);
+    RpcClient client(ch);
+    const int fibers = 3 + static_cast<int>(seed % 10);
+    constexpr int kCalls = 8;
+    int wrong = 0, done = 0;
+    for (int f = 0; f < fibers; ++f) {
+      std::vector<int> yields(kCalls);
+      for (int& y : yields) y = std::uniform_int_distribution<int>(0, 4)(rng);
+      sim.spawn("f" + std::to_string(f), [&, f, yields] {
+        for (int c = 0; c < kCalls; ++c) {
+          for (int k = 0; k < yields[c]; ++k) sim.wait_for(0);
+          const auto x = static_cast<std::uint64_t>(f * 100 + c);
+          if (call_times_ten(client, x) != 10 * x) ++wrong;
+          ++done;
+        }
+      });
+    }
+    ASSERT_NO_THROW(sim.run());
+    EXPECT_EQ(wrong, 0);
+    EXPECT_EQ(done, fibers * kCalls);
+  }
+}
+
 // ---- kDstDelta wire format ----------------------------------------------
 
 TEST(DeltaCodec, EmptyDeltaRoundTrips) {

@@ -183,11 +183,82 @@ app = GA
 requests = 3
 lambda_scale = 0.5
 )"));
-  const auto stats = run_scenario_config(cfg);
+  const auto stats = run_scenario(cfg).streams;
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].completed, 3);
   EXPECT_EQ(stats[0].errors, 0);
 }
+
+// ---- The runner's teardown ----------------------------------------------
+
+// A closed-loop pair plus an open-loop tenant on the 2-GPU server: at any
+// horizon app fibers are mid-request, server pools are parked on their
+// queues, and backend daemons and the placement service are blocked on
+// their inboxes.
+ScenarioConfig teardown_scenario(Mode mode, sim::SimTime horizon) {
+  ScenarioConfig cfg;
+  cfg.testbed.mode = mode;
+  ArrivalConfig a;
+  a.app = "MC";
+  a.requests = 6;
+  a.lambda_scale = 0.2;
+  a.seed = 4;
+  ArrivalConfig b = a;
+  b.app = "BS";
+  b.seed = 7;
+  b.tenant = "tenantB";
+  cfg.streams = {a, b};
+  OpenLoopTenant t;
+  t.name = "tenantC";
+  t.app = "GA";
+  t.rate_rps = 40.0;
+  t.requests = 20;
+  cfg.tenants = {t};
+  cfg.horizon = horizon;
+  return cfg;
+}
+
+int total_requests(const ScenarioConfig& cfg) {
+  int n = 0;
+  for (const auto& s : cfg.streams) n += s.requests;
+  for (const auto& t : cfg.tenants) n += t.requests;
+  return n;
+}
+
+class HorizonTeardownTest
+    : public ::testing::TestWithParam<std::tuple<Mode, sim::SimTime>> {};
+
+TEST_P(HorizonTeardownTest, StopsAtHorizonAndUnwinds) {
+  const auto [mode, horizon] = GetParam();
+  const ScenarioConfig cfg = teardown_scenario(mode, horizon);
+  const ScenarioRunResult result = run_scenario(cfg);
+  EXPECT_EQ(result.makespan, horizon);
+  ASSERT_EQ(result.streams.size(), 3u);
+  int completed = 0;
+  for (const auto& s : result.streams) completed += s.completed;
+  EXPECT_LT(completed, total_requests(cfg)) << "the horizon must cut the run";
+  EXPECT_EQ(result.tenant_service_s.size(), 3u);
+}
+
+TEST_P(HorizonTeardownTest, UnwritableTraceThrowsAfterHorizon) {
+  const auto [mode, horizon] = GetParam();
+  RunArtifacts artifacts;
+  artifacts.trace_path = "/nonexistent-dir/teardown.trace.json";
+  EXPECT_THROW(run_scenario(teardown_scenario(mode, horizon), artifacts),
+               std::runtime_error);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModes, HorizonTeardownTest,
+    ::testing::Combine(::testing::Values(Mode::kCudaBaseline, Mode::kRain,
+                                         Mode::kStrings, Mode::kDesign2),
+                       ::testing::Values(sim::msec(40), sim::msec(900))),
+    [](const auto& info) {
+      std::string name = mode_name(std::get<0>(info.param));
+      std::erase(name, '-');
+      return name + "_" +
+             std::to_string(std::get<1>(info.param) / sim::msec(1)) + "ms";
+    });
 
 }  // namespace
 }  // namespace strings::workloads

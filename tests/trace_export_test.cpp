@@ -145,9 +145,11 @@ TEST(TraceExport, FilesWrittenViaRunScenarioConfig) {
   const std::string trace_path = ::testing::TempDir() + "/obs_e2e.trace.json";
   const std::string metrics_path = ::testing::TempDir() + "/obs_e2e.metrics.csv";
   auto cfg = workloads::parse_scenario(std::string(kDistributedScenario));
-  cfg.testbed.trace = false;  // the overload must force it back on
-  const auto stats =
-      workloads::run_scenario_config(cfg, trace_path, metrics_path);
+  cfg.testbed.trace = false;  // a trace path must force it back on
+  workloads::RunArtifacts artifacts;
+  artifacts.trace_path = trace_path;
+  artifacts.metrics_path = metrics_path;
+  const auto stats = workloads::run_scenario(cfg, artifacts).streams;
   ASSERT_EQ(stats.size(), 2u);
   std::ifstream tf(trace_path);
   ASSERT_TRUE(tf.good());
@@ -169,9 +171,9 @@ TEST(TraceExport, FilesWrittenViaRunScenarioConfig) {
 
 TEST(TraceExport, UnwritablePathThrows) {
   auto cfg = workloads::parse_scenario(std::string(kDistributedScenario));
-  EXPECT_THROW(workloads::run_scenario_config(
-                   cfg, "/nonexistent-dir/x.json", ""),
-               std::runtime_error);
+  workloads::RunArtifacts artifacts;
+  artifacts.trace_path = "/nonexistent-dir/x.json";
+  EXPECT_THROW(workloads::run_scenario(cfg, artifacts), std::runtime_error);
 }
 
 // The acceptance pin: instrumentation must not perturb the simulation.
@@ -181,7 +183,7 @@ TEST(TraceExport, TracingIsBehaviorNeutral) {
   auto run_with = [](bool trace) {
     auto cfg = workloads::parse_scenario(std::string(kDistributedScenario));
     cfg.testbed.trace = trace;
-    return workloads::run_scenario_config(cfg);
+    return workloads::run_scenario(cfg).streams;
   };
   const auto off = run_with(false);
   const auto on = run_with(true);
